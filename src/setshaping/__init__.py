@@ -45,7 +45,6 @@ from .compositions import (
     exact_compare,
     multinomial,
     order_product,
-    sorted_compositions,
 )
 from .errors import (
     BlockLengthError,
@@ -128,7 +127,6 @@ __all__ = [
     "shaped_average_info_exact",
     "shaped_threshold",
     "shaping_experiment",
-    "sorted_compositions",
     "string_probability",
     "string_rank",
     "string_unrank",

@@ -18,7 +18,9 @@ another, so they share their product, class size, and information content.
 ClassOrder therefore aggregates by partition of n and only expands individual
 count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
-while staying exact.
+while staying exact.  One depth-first walk over the partitions yields a flat
+table of (product, partition, class size, class count) rows; one stable sort
+and one pass over it give the tie groups.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import heapq
 import math
 import threading
 from bisect import bisect_right
-from collections import Counter
+from itertools import accumulate, repeat
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -137,56 +140,68 @@ def class_weight(probabilities: Sequence[float], counts: Sequence[int]) -> float
     return scale * math.exp(log_p)
 
 
-def _partitions(n: int, slots: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into at most `slots` parts each <= max_part, descending."""
-    if n == 0:
-        yield ()
-        return
-    if slots == 0:
-        return
-    lowest = -(-n // slots)
-    for first in range(min(n, max_part), lowest - 1, -1):
-        for rest in _partitions(n - first, slots - 1, first):
-            yield (first,) + rest
+def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+    """One row per partition of n into at most a parts, partitions lex ascending.
+
+    A row is (order product, partition, class size, class count): the class
+    size is the multinomial n!/prod(c!) and the class count is the number of
+    distinct a-length count vectors that sort to the partition,
+    perm(a, len) / prod(multiplicity!).  The depth-first walk carries the
+    product, the factorial denominator and the multiplicity factorials down
+    the recursion, so siblings share their prefix's work.
+    """
+    powers = [c**c for c in range(n + 1)]
+    fact = list(accumulate(range(1, n + 1), mul, initial=1))
+    perms = [math.perm(a, length) for length in range(min(a, n) + 1)]
+    rows: list[tuple[int, tuple[int, ...], int, int]] = []
+
+    def walk(prefix, rest, slots, top, prod, den, mult_den, run):
+        # top bounds the next part and is the last part placed, whose run
+        # of equal parts has length run.
+        for c in range(-(-rest // slots), min(rest, top) + 1):
+            part = prefix + (c,)
+            c_run = run + 1 if c == top else 1
+            p, d, md = prod * powers[c], den * fact[c], mult_den * c_run
+            if c == rest:
+                rows.append((p, part, fact[n] // d, perms[len(part)] // md))
+            else:
+                walk(part, rest - c, slots - 1, c, p, d, md, c_run)
+
+    walk((), n, a, n, 1, 1, 1, 0)
+    return rows
 
 
-def _padded_multiset(partition: Sequence[int], a: int) -> Counter:
-    counts = Counter(partition)
-    counts[0] += a - len(partition)
+def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
+    """Value -> multiplicity of the partition padded with zeros to a parts."""
+    counts = {0: a - len(partition)}
+    for c in partition:
+        counts[c] = counts.get(c, 0) + 1
     return counts
 
 
-def _arrangements(multiset: Counter, slots: int) -> int:
-    """Distinct sequences that use every element of the multiset once."""
-    result = math.factorial(slots)
-    for m in multiset.values():
-        if m > 1:
-            result //= math.factorial(m)
-    return result
+def _perms_lex_below(
+    partition: Sequence[int], count: int, a: int, target: Sequence[int]
+) -> int:
+    """Count a-length rearrangements of the padded partition lex-below target.
 
-
-def _vector_count(partition: Sequence[int], a: int) -> int:
-    """Number of distinct compositions that sort to this partition."""
-    return _arrangements(_padded_multiset(partition, a), a)
-
-
-def _perms_lex_below(partition: Sequence[int], a: int, target: Sequence[int]) -> int:
-    """Count a-length rearrangements of the padded partition lex-below target."""
+    count is the number of rearrangements.  Of the count arrangements of a
+    multiset of slots elements, count*m//slots start with a value of
+    multiplicity m, so every step stays exact without factorials.
+    """
     remaining = _padded_multiset(partition, a)
+    values = sorted(remaining)
     below = 0
     slots = a
     for value in target:
-        for v in sorted(remaining):
+        for v in values:
             if v >= value:
                 break
-            if remaining[v] == 0:
-                continue
-            remaining[v] -= 1
-            below += _arrangements(remaining, slots - 1)
-            remaining[v] += 1
-        if remaining[value] == 0:
+            below += count * remaining[v] // slots
+        m = remaining.get(value, 0)
+        if m == 0:
             break
-        remaining[value] -= 1
+        count = count * m // slots
+        remaining[value] = m - 1
         slots -= 1
     return below
 
@@ -211,11 +226,15 @@ def _lex_vectors(partition: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
 class ClassOrder:
     """The exact total order over all compositions of n into a parts.
 
-    Storage and build time scale with the number of partitions of n.  A tie
-    group is a maximal run of compositions sharing one exact order product
-    (hence one information content); groups are held sorted, content
-    ascending, together with exact string and class totals and prefix sums,
-    so rank and selection queries never materialize the composition list.
+    Storage and build time scale with the number of partitions of n.  The
+    build walks the partitions once into a flat row table (see
+    _partition_rows), sorted by order product descending with partitions
+    ascending inside a tie.  A tie group is a maximal run of rows sharing one
+    exact order product (hence one information content); per group the order
+    keeps the product, the row offset, the information content and exact
+    string and class totals with their prefix sums, so rank and selection
+    queries read one group's row slice and never materialize the composition
+    list.
     """
 
     def __init__(self, n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP):
@@ -226,47 +245,45 @@ class ClassOrder:
         self.alphabet_size = a
         self.total_strings = a**n
 
-        by_product: dict[int, list[tuple[int, ...]]] = {}
-        for part in _partitions(n, a, n):
-            by_product.setdefault(order_product(part), []).append(part)
+        self._rows = rows = _partition_rows(n, a)
+        # Stable: partitions stay ascending inside each tie group.
+        rows.sort(key=itemgetter(0), reverse=True)
 
-        self.group_products: list[int] = sorted(by_product, reverse=True)
-        self._group_index = {p: i for i, p in enumerate(self.group_products)}
-        self.group_partitions: list[list[tuple[int, ...]]] = [
-            sorted(by_product[p]) for p in self.group_products
-        ]
-        # Per partition: strings per class, and number of classes.
-        self._class_sizes = [
-            [multinomial(part) for part in parts] for parts in self.group_partitions
-        ]
-        self._vector_counts = [
-            [_vector_count(part, a) for part in parts]
-            for parts in self.group_partitions
-        ]
-        self.group_class_totals = [
-            sum(v) for v in self._vector_counts
-        ]
-        self.group_string_totals = [
-            sum(size * v for size, v in zip(sizes, vectors))
-            for sizes, vectors in zip(self._class_sizes, self._vector_counts)
-        ]
-        self.group_infos = np.array(
-            [composition_info_bits(parts[0]) for parts in self.group_partitions],
-            dtype=np.float64,
-        )
+        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+        products, starts, strings, classes, infos = [], [], [], [], []
+        for i, (product, part, size, count) in enumerate(rows):
+            if products and product == products[-1]:
+                strings[-1] += size * count
+                classes[-1] += count
+                continue
+            products.append(product)
+            starts.append(i)
+            strings.append(size * count)
+            classes.append(count)
+            # The terms of composition_info_bits, so the values are identical.
+            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
+        starts.append(len(rows))
+        self.group_products = products
+        self._group_start = starts
+        self._group_index = {p: i for i, p in enumerate(products)}
+        self.group_string_totals = strings
+        self.group_class_totals = classes
+        self.group_infos = np.array(infos, dtype=np.float64)
 
-        prefix = [0]
-        for total in self.group_string_totals:
-            prefix.append(prefix[-1] + total)
-        self._string_prefix = prefix
-        if prefix[-1] != self.total_strings:
+        self._string_prefix = list(accumulate(self.group_string_totals, initial=0))
+        if self._string_prefix[-1] != self.total_strings:
             raise AssertionError("group totals disagree with a**n")
+        self._class_prefix = list(accumulate(self.group_class_totals, initial=0))
+        self.num_compositions = self._class_prefix[-1]
 
-        class_prefix = [0]
-        for total in self.group_class_totals:
-            class_prefix.append(class_prefix[-1] + total)
-        self._class_prefix = class_prefix
-        self.num_compositions = class_prefix[-1]
+    def _group_rows(self, gi: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+        return self._rows[self._group_start[gi] : self._group_start[gi + 1]]
+
+    @property
+    def group_partitions(self) -> list[list[tuple[int, ...]]]:
+        """Partitions of each tie group, ascending."""
+        rows, starts = self._rows, self._group_start
+        return [[row[1] for row in rows[s:e]] for s, e in zip(starts, starts[1:])]
 
     # -- lookups ---------------------------------------------------------
 
@@ -288,8 +305,8 @@ class ClassOrder:
             raise ValueError("composition does not match this order")
         gi = self.group_of(counts)
         total = self._string_prefix[gi]
-        for part, size in zip(self.group_partitions[gi], self._class_sizes[gi]):
-            total += size * _perms_lex_below(part, self.alphabet_size, counts)
+        for _, part, size, count in self._group_rows(gi):
+            total += size * _perms_lex_below(part, count, self.alphabet_size, counts)
         return total
 
     def classes_before(self, counts: Sequence[int]) -> int:
@@ -297,8 +314,8 @@ class ClassOrder:
         counts = tuple(counts)
         gi = self.group_of(counts)
         total = self._class_prefix[gi]
-        for part in self.group_partitions[gi]:
-            total += _perms_lex_below(part, self.alphabet_size, counts)
+        for _, part, _, count in self._group_rows(gi):
+            total += _perms_lex_below(part, count, self.alphabet_size, counts)
         return total
 
     def locate_string(self, index: int) -> tuple[tuple[int, ...], int]:
@@ -316,55 +333,40 @@ class ClassOrder:
         return float(self.group_infos[gi])
 
     def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
-        a = self.alphabet_size
+        # Per row still consistent with the vector so far: its remaining
+        # multiset, class size, and number of arrangements of the multiset.
         active = [
-            [dict(_padded_multiset(part, a)), size]
-            for part, size in zip(self.group_partitions[gi], self._class_sizes[gi])
+            (_padded_multiset(part, self.alphabet_size), size, count)
+            for _, part, size, count in self._group_rows(gi)
         ]
         vector: list[int] = []
-        slots = a
-        for _ in range(a):
-            values = sorted({v for rem, _ in active for v in rem if rem[v] > 0})
-            for v in values:
-                weight = 0
-                for rem, size in active:
-                    if rem.get(v, 0) > 0:
-                        rem[v] -= 1
-                        weight += size * _arrangements(Counter(rem), slots - 1)
-                        rem[v] += 1
+        for slots in range(self.alphabet_size, 0, -1):
+            for v in sorted({u for rem, _, _ in active for u, m in rem.items() if m}):
+                weight = sum(s * c * rem.get(v, 0) // slots for rem, s, c in active)
                 if t < weight:
-                    vector.append(v)
-                    survivors = []
-                    for rem, size in active:
-                        if rem.get(v, 0) > 0:
-                            rem[v] -= 1
-                            survivors.append([rem, size])
-                    active = survivors
-                    slots -= 1
                     break
                 t -= weight
             else:
                 raise AssertionError("offset exceeded the tie group")
+            vector.append(v)
+            survivors = []
+            for rem, size, count in active:
+                m = rem.get(v, 0)
+                if m:
+                    rem[v] = m - 1
+                    survivors.append((rem, size, count * m // slots))
+            active = survivors
         return tuple(vector), t
 
     # -- iteration -------------------------------------------------------
 
     def iter_group_classes(self, gi: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """(composition, class size) pairs of one tie group, lex ascending."""
-        parts = self.group_partitions[gi]
-        sizes = self._class_sizes[gi]
-        if len(parts) == 1:
-            size = sizes[0]
-            for vec in _lex_vectors(parts[0], self.alphabet_size):
-                yield vec, size
-            return
-
-        def stream(part: tuple[int, ...], size: int):
-            for vec in _lex_vectors(part, self.alphabet_size):
-                yield vec, size
-
-        streams = [stream(p, s) for p, s in zip(parts, sizes)]
-        yield from heapq.merge(*streams, key=lambda item: item[0])
+        streams = [
+            zip(_lex_vectors(part, self.alphabet_size), repeat(size))
+            for _, part, size, _ in self._group_rows(gi)
+        ]
+        yield from heapq.merge(*streams, key=itemgetter(0))
 
     def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every (composition, class size) pair in exact order."""
@@ -389,9 +391,3 @@ def class_order(n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP) -> ClassOrde
             _ORDER_CACHE[key] = order
     return order
 
-
-def sorted_compositions(
-    n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> list[tuple[tuple[int, ...], int]]:
-    """Materialized (composition, class size) list in exact order."""
-    return list(class_order(n, a, cap).iter_classes())

@@ -1,8 +1,9 @@
 """Brute-force reference implementations used to pin expected test values.
 
-Everything here enumerates strings explicitly and sticks to the stdlib, so
-it stays independent of the library code it is used to check.  It is only
-usable at toy scales (a**n up to a few million).
+Everything here enumerates strings or compositions explicitly and sticks
+to the stdlib, so it stays independent of the library code it is used to
+check.  It is only usable at toy scales (a**n up to a few million strings;
+group_table handles any alphabet for n up to about 16).
 """
 
 import itertools
@@ -100,3 +101,61 @@ def kt_probability(s, a):
 def kt_ideal_bits(s, a):
     p = kt_probability(s, a)
     return math.log2(p.denominator) - math.log2(p.numerator)
+
+
+def class_size(counts):
+    """Strings with the given symbol counts, n!/prod(c!)."""
+    size = math.factorial(sum(counts))
+    for c in counts:
+        size //= math.factorial(c)
+    return size
+
+
+def compositions(n, a):
+    """All compositions of n into a nonnegative parts, by stars and bars."""
+    for bars in itertools.combinations(range(n + a - 1), a - 1):
+        edges = (-1,) + bars + (n + a - 1,)
+        yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
+
+
+def sorted_compositions(n, a):
+    """(composition, class size) pairs in the total order of string_sort_key."""
+    comps = sorted(compositions(n, a), key=lambda c: (-order_product(c), c))
+    return [(c, class_size(c)) for c in comps]
+
+
+def positive_compositions(n):
+    """The 2**(n-1) compositions of n into positive parts, one per cut set."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        yield tuple(parts) + (run,)
+
+
+def group_table(n, a):
+    """Tie groups of the compositions of n into a parts, product descending.
+
+    One (product, partitions ascending, strings, classes) tuple per group.  A
+    composition is its nonzero counts in symbol order, a positive composition
+    of some length L <= a, placed on L of the a symbols; so each positive
+    composition stands for comb(a, L) compositions, which keeps large
+    alphabets enumerable.
+    """
+    groups = {}
+    for parts in positive_compositions(n):
+        if len(parts) > a:
+            continue
+        placements = math.comb(a, len(parts))
+        group = groups.setdefault(order_product(parts), [set(), 0, 0])
+        group[0].add(tuple(sorted(parts, reverse=True)))
+        group[1] += placements * class_size(parts)
+        group[2] += placements
+    return [
+        (product, sorted(parts), strings, classes)
+        for product, (parts, strings, classes) in sorted(groups.items(), reverse=True)
+    ]

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +19,6 @@ from setshaping import (
     exact_compare,
     multinomial,
     order_product,
-    sorted_compositions,
 )
 from setshaping.compositions import check_composition_cap
 
@@ -156,7 +155,7 @@ class TestSortedOrder:
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force_class_order(self, n, a):
-        got = [c for c, _ in sorted_compositions(n, a)]
+        got = [c for c, _ in ClassOrder(n, a).iter_classes()]
         seen = []
         for s in oracles.all_strings_sorted(n, a):
             c = oracles.counts_of(s, a)
@@ -165,11 +164,11 @@ class TestSortedOrder:
         assert got == seen
 
     def test_sizes_accompany_compositions(self):
-        for counts, size in sorted_compositions(5, 3):
+        for counts, size in ClassOrder(5, 3).iter_classes():
             assert size == multinomial(counts)
 
     def test_info_is_nondecreasing_along_order(self):
-        infos = [composition_info_bits(c) for c, _ in sorted_compositions(7, 3)]
+        infos = [composition_info_bits(c) for c, _ in ClassOrder(7, 3).iter_classes()]
         assert all(x <= y + 1e-12 for x, y in zip(infos, infos[1:]))
 
 
@@ -210,7 +209,7 @@ class TestClassOrder:
     def test_classes_before_matches_sorted_position(self):
         n, a = 6, 3
         order = ClassOrder(n, a)
-        comps = [c for c, _ in sorted_compositions(n, a)]
+        comps = [c for c, _ in oracles.sorted_compositions(n, a)]
         for i, c in enumerate(comps):
             assert order.classes_before(c) == i
 
@@ -260,7 +259,7 @@ class TestClassOrder:
 
     def test_iter_classes_agrees_with_materialized_list(self):
         order = ClassOrder(6, 4)
-        assert list(order.iter_classes()) == sorted_compositions(6, 4)
+        assert list(order.iter_classes()) == oracles.sorted_compositions(6, 4)
 
     def test_shared_instances_are_cached(self):
         assert class_order(7, 2) is class_order(7, 2)
@@ -275,3 +274,46 @@ class TestClassOrder:
         start = order.strings_before_class(counts)
         assert start <= index < start + multinomial(counts)
         assert offset == index - start
+
+
+class TestGroupTableOracle:
+    """Every per-group table of the partition walk against brute force."""
+
+    @pytest.mark.parametrize(
+        "n, a",
+        [(n, a) for n in range(1, 13) for a in range(1, 7)] + [(1, 10**5), (2, 10**4)],
+    )
+    def test_matches_brute_force_groups(self, n, a):
+        order = ClassOrder(n, a)
+        table = oracles.group_table(n, a)
+        assert order.group_products == [g[0] for g in table]
+        assert order.group_partitions == [g[1] for g in table]
+        assert order.group_string_totals == [g[2] for g in table]
+        assert order.group_class_totals == [g[3] for g in table]
+        assert order.num_compositions == sum(g[3] for g in table)
+        assert order.num_compositions == composition_count(n, a)
+        # bit for bit: the value composition_info_bits gives the first partition
+        assert order.group_infos.tolist() == [composition_info_bits(g[1][0]) for g in table]
+        if order.num_compositions <= 10**4:
+            expected = oracles.sorted_compositions(n, a)
+            assert list(order.iter_classes()) == expected
+            # rank and selection at every class, cross-partition ties included
+            start = 0
+            for i, (counts, size) in enumerate(expected):
+                assert order.strings_before_class(counts) == start
+                assert order.classes_before(counts) == i
+                assert order.locate_string(start) == (counts, 0)
+                assert order.locate_string(start + size - 1) == (counts, size - 1)
+                start += size
+        else:
+            # a vectors of length a are too many to list; check each group's head
+            for gi, (_, parts, _, _) in enumerate(table):
+                for vector, size in islice(order.iter_group_classes(gi), 3):
+                    assert tuple(sorted(filter(None, vector), reverse=True)) in parts
+                    assert size == oracles.class_size(vector)
+
+    def test_benchmark_order_size_is_pinned(self):
+        # the traced benchmark reports these counts for its a=5, n+k=101 build
+        order = class_order(101, 5)
+        assert sum(len(parts) for parts in order.group_partitions) == 48006
+        assert len(order.group_products) == 47820
