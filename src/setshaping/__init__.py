@@ -63,7 +63,6 @@ from .montecarlo import (
     estimate_table,
     info_from_counts,
     sample_compositions,
-    sample_strings,
     shard_generator,
 )
 from .source import (
@@ -120,7 +119,6 @@ __all__ = [
     "rank_info_series",
     "redundancy_bound_bits",
     "sample_compositions",
-    "sample_strings",
     "shard_generator",
     "shape",
     "shaped_average_info",

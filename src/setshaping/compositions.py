@@ -179,6 +179,19 @@ def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
     return counts
 
 
+def _after_zeros(count: int, slots: int, nonzero: int, zeros: int) -> int:
+    """Arrangements of a multiset that start with `zeros` zeros.
+
+    Of the count arrangements of slots elements, nonzero of them nonzero,
+    comb(slots, nonzero) choose where the zeros go and each choice carries
+    the same count // comb(slots, nonzero) orders of the nonzero elements.
+    Zero when fewer than `zeros` zeros remain.
+    """
+    if zeros == 1:
+        return count * (slots - nonzero) // slots
+    return count // math.comb(slots, nonzero) * math.comb(slots - zeros, nonzero)
+
+
 def _perms_lex_below(
     partition: Sequence[int], count: int, a: int, target: Sequence[int]
 ) -> int:
@@ -186,13 +199,26 @@ def _perms_lex_below(
 
     count is the number of rearrangements.  Of the count arrangements of a
     multiset of slots elements, count*m//slots start with a value of
-    multiplicity m, so every step stays exact without factorials.
+    multiplicity m, so every step stays exact without factorials.  Zero
+    sorts first, so a run of zeros in target puts nothing below it; each
+    run is taken in one step, and the trailing one not at all.
     """
     remaining = _padded_multiset(partition, a)
     values = sorted(remaining)
     below = 0
     slots = a
+    zeros = 0
     for value in target:
+        if not value:
+            zeros += 1
+            continue
+        if zeros:
+            if zeros > remaining[0]:
+                break
+            count = _after_zeros(count, slots, slots - remaining[0], zeros)
+            remaining[0] -= zeros
+            slots -= zeros
+            zeros = 0
         for v in values:
             if v >= value:
                 break
@@ -221,6 +247,35 @@ def _lex_vectors(partition: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
             j -= 1
         vec[i], vec[j] = vec[j], vec[i]
         vec[i + 1 :] = reversed(vec[i + 1 :])
+
+
+def _zero_run(active: list[tuple[dict[int, int], int, int]], slots: int, t: int) -> int:
+    """Length of the run of zeros that the t-th string of active starts with.
+
+    active holds (remaining multiset, class size, arrangements) rows that
+    share the vector so far, and t lies among the strings whose next part is
+    zero.  The strings whose next z parts are zero come first and shrink as
+    z grows, so the run is the largest z they still cover t for.
+    """
+
+    def weight(zeros: int) -> int:
+        return sum(
+            size * _after_zeros(count, slots, slots - rem[0], zeros)
+            for rem, size, count in active
+        )
+
+    # Gallop from a run of one, the common case, then bisect.
+    lo, hi = 1, 2
+    while hi <= slots and t < weight(hi):
+        lo, hi = hi, 2 * hi
+    hi = min(hi - 1, slots)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if t < weight(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 class ClassOrder:
@@ -294,15 +349,19 @@ class ClassOrder:
         except KeyError:
             raise ValueError(f"{tuple(counts)} is not a composition of n={self.n}")
 
+    def _checked(self, counts: Sequence[int]) -> tuple[int, ...]:
+        counts = tuple(counts)
+        if len(counts) != self.alphabet_size or sum(counts) != self.n:
+            raise ValueError("composition does not match this order")
+        return counts
+
     def class_size(self, counts: Sequence[int]) -> int:
         """Strings in the composition's class (multinomial coefficient)."""
         return multinomial(counts)
 
     def strings_before_class(self, counts: Sequence[int]) -> int:
         """Exact number of strings ranked before the first string of the class."""
-        counts = tuple(counts)
-        if len(counts) != self.alphabet_size or sum(counts) != self.n:
-            raise ValueError("composition does not match this order")
+        counts = self._checked(counts)
         gi = self.group_of(counts)
         total = self._string_prefix[gi]
         for _, part, size, count in self._group_rows(gi):
@@ -311,7 +370,7 @@ class ClassOrder:
 
     def classes_before(self, counts: Sequence[int]) -> int:
         """Exact number of classes ranked before the composition."""
-        counts = tuple(counts)
+        counts = self._checked(counts)
         gi = self.group_of(counts)
         total = self._class_prefix[gi]
         for _, part, _, count in self._group_rows(gi):
@@ -340,7 +399,8 @@ class ClassOrder:
             for _, part, size, count in self._group_rows(gi)
         ]
         vector: list[int] = []
-        for slots in range(self.alphabet_size, 0, -1):
+        slots = self.alphabet_size
+        while slots:
             for v in sorted({u for rem, _, _ in active for u, m in rem.items() if m}):
                 weight = sum(s * c * rem.get(v, 0) // slots for rem, s, c in active)
                 if t < weight:
@@ -348,13 +408,26 @@ class ClassOrder:
                 t -= weight
             else:
                 raise AssertionError("offset exceeded the tie group")
-            vector.append(v)
-            survivors = []
-            for rem, size, count in active:
-                m = rem.get(v, 0)
-                if m:
-                    rem[v] = m - 1
-                    survivors.append((rem, size, count * m // slots))
+            if v == 0 and vector and vector[-1] == 0:
+                # A second zero in a row: take the rest of the run at once.
+                zeros = _zero_run(active, slots, t)
+                survivors = []
+                for rem, size, count in active:
+                    count = _after_zeros(count, slots, slots - rem[0], zeros)
+                    if count:
+                        rem[0] -= zeros
+                        survivors.append((rem, size, count))
+                vector.extend(repeat(0, zeros))
+                slots -= zeros
+            else:
+                survivors = []
+                for rem, size, count in active:
+                    m = rem.get(v, 0)
+                    if m:
+                        rem[v] = m - 1
+                        survivors.append((rem, size, count * m // slots))
+                vector.append(v)
+                slots -= 1
             active = survivors
         return tuple(vector), t
 

@@ -10,11 +10,20 @@ seeded with SeedSequence(entropy=seed, spawn_key=(i,)); shard outputs are
 concatenated in shard-index order before any reduction.  Results are
 therefore byte-identical across thread counts, schedulings, and platforms.
 
+Each shard worker computes its own contents right after sampling, on the
+same threads as the sampler, through a lookup table of c*ln(c) terms that
+gives the same floats as the direct formula.  The source estimator keeps
+only the per-shard contents; the shaped estimator also keeps each shard's
+count vectors, unconcatenated, to re-rank its tie band.
+
 The shaped estimator is a quantile cut: the selected set is the lowest
 1/a**k fraction of the length-(n+k) order, so the mean of the lowest
-floor(M/a**k) of M sampled contents estimates the shaped mean.  Samples
+floor(M/a**k) of M sampled contents estimates the shaped mean.  The cut
+value is found by selection (np.partition), not by a full sort.  Samples
 tied at the cutoff are admitted in the exact composition order (bigint
-product comparison, then count vector), the same rule the shaping map uses.
+product comparison, then count vector, then sample index), the same rule
+the shaping map uses; the exact comparison runs once per distinct count
+vector in the band, not once per sample.
 """
 
 from __future__ import annotations
@@ -82,15 +91,23 @@ def sample_compositions(
     return rng.multinomial(n, np.full(a, 1.0 / a), size=size)
 
 
-def sample_strings(
-    rng: np.random.Generator, n: int, a: int, size: int
-) -> np.ndarray:
-    """Explicit uniform strings; the slow validation path for sample_compositions."""
-    return rng.integers(0, a, size=(size, n), dtype=np.int64)
-
-
 def info_from_counts(counts: np.ndarray) -> np.ndarray:
     """Empirical information content of each row of a counts matrix."""
+    counts = np.asarray(counts)
+    if (
+        counts.dtype.kind in "iu"
+        and counts.size
+        and counts.ndim
+        and counts.min() >= 0
+        # No count above the row count: no row sum can overflow, and the
+        # table below is no longer than the input.
+        and counts.max() <= counts.size // counts.shape[-1]
+    ):
+        totals = counts.sum(axis=-1)
+        # The values xlogy gives below, looked up instead of recomputed.
+        r = np.arange(int(totals.max()) + 1, dtype=np.float64)
+        terms = xlogy(r, r)
+        return (terms[totals] - terms[counts].sum(axis=-1)) / _LN2
     c = np.asarray(counts, dtype=np.float64)
     n = c.sum(axis=-1)
     # Same xlogy route for both terms so one-symbol rows cancel to exactly 0.
@@ -104,32 +121,65 @@ def _shard_sizes(total: int) -> list[int]:
     return sizes
 
 
-def _sampled_counts(config: McConfig, length: int) -> np.ndarray:
-    """Sampled count vectors over the whole run, in shard-index order."""
+def _sampled_shards(
+    config: McConfig, length: int, keep_counts: bool
+) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """(counts, contents) per shard, in shard-index order.
+
+    Without keep_counts each worker drops its count vectors once their
+    contents are computed, so only the contents outlive the shard.
+    """
     a = config.alphabet_size
 
-    def run(item: tuple[int, int]) -> np.ndarray:
+    def run(item: tuple[int, int]) -> tuple[np.ndarray | None, np.ndarray]:
         index, size = item
-        return sample_compositions(shard_generator(config.seed, index), length, a, size)
+        counts = sample_compositions(shard_generator(config.seed, index), length, a, size)
+        return (counts if keep_counts else None), info_from_counts(counts)
 
     jobs = list(enumerate(_shard_sizes(config.samples)))
     if config.threads == 1 or len(jobs) == 1:
-        shards = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            shards = list(pool.map(run, jobs))
-    return np.concatenate(shards) if len(shards) > 1 else shards[0]
+        return [run(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        return list(pool.map(run, jobs))
 
 
 def estimate_average_info(config: McConfig) -> McEstimate:
     """Sample mean of content over uniform length-n strings."""
-    infos = info_from_counts(_sampled_counts(config, config.n))
+    shards = _sampled_shards(config, config.n, keep_counts=False)
+    infos = np.concatenate([infos for _, infos in shards])
     mean = float(infos.mean())
     if infos.size > 1:
         std_error = float(infos.std(ddof=1) / math.sqrt(infos.size))
     else:
         std_error = math.inf
     return McEstimate(mean, std_error, int(infos.size))
+
+
+def _band_in_exact_order(
+    shards: list[tuple[np.ndarray | None, np.ndarray]], band: np.ndarray
+) -> np.ndarray:
+    """Indices of the band samples sorted by (-order product, counts, index).
+
+    Sample i is row i % SHARD_SIZE of shard i // SHARD_SIZE's counts.
+    """
+    indices = np.flatnonzero(band)
+    starts = np.arange(1, len(shards)) * SHARD_SIZE
+    parts = np.split(indices, np.searchsorted(indices, starts))
+    rows = np.concatenate(
+        [
+            counts[part - s * SHARD_SIZE]
+            for s, ((counts, _), part) in enumerate(zip(shards, parts))
+        ]
+    )
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    vectors = [tuple(row) for row in distinct.tolist()]
+    ranked = sorted(
+        range(len(vectors)), key=lambda j: (-order_product(vectors[j]), vectors[j])
+    )
+    rank = np.empty(len(vectors), dtype=np.intp)
+    rank[ranked] = np.arange(len(vectors))
+    # Stable over ascending indices, so equal vectors keep sample order.
+    return indices[np.argsort(rank[inverse.reshape(-1)], kind="stable")]
 
 
 def estimate_shaped_average_info(config: McConfig) -> McEstimate:
@@ -140,29 +190,19 @@ def estimate_shaped_average_info(config: McConfig) -> McEstimate:
         raise DegenerateSampleError(
             f"{config.samples} samples leave none below the 1/{a**config.k} quantile"
         )
-    counts = _sampled_counts(config, config.n + config.k)
-    infos = info_from_counts(counts)
+    shards = _sampled_shards(config, config.n + config.k, keep_counts=True)
+    infos = np.concatenate([infos for _, infos in shards])
 
-    order = np.argsort(infos, kind="stable")
-    cut_value = float(infos[order[cut - 1]])
+    cut_value = float(np.partition(infos, cut - 1)[cut - 1])
     tol = 1e-9 * max(1.0, abs(cut_value))
     below = infos < cut_value - tol
     band = np.abs(infos - cut_value) <= tol
 
     need = cut - int(np.count_nonzero(below))
-    band_indices = sorted(
-        (int(i) for i in np.flatnonzero(band)),
-        key=lambda i: (
-            -order_product([int(v) for v in counts[i]]),
-            tuple(int(v) for v in counts[i]),
-            i,
-        ),
-    )
+    band_indices = _band_in_exact_order(shards, band)
     if not 0 < need <= len(band_indices):
         raise AssertionError("quantile cut fell outside its tie band")
-    chosen = np.concatenate(
-        [infos[below], infos[np.array(band_indices[:need], dtype=np.intp)]]
-    )
+    chosen = np.concatenate([infos[below], infos[band_indices[:need]]])
 
     mean = float(chosen.mean())
     if chosen.size > 1:

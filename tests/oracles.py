@@ -1,9 +1,10 @@
 """Brute-force reference implementations used to pin expected test values.
 
 Everything here enumerates strings or compositions explicitly and sticks
-to the stdlib, so it stays independent of the library code it is used to
-check.  It is only usable at toy scales (a**n up to a few million strings;
-group_table handles any alphabet for n up to about 16).
+to the stdlib (sample_strings only calls the numpy Generator it is given),
+so it stays independent of the library code it is used to check.  It is
+only usable at toy scales (a**n up to a few million strings; group_table
+handles any alphabet for n up to about 16).
 """
 
 import itertools
@@ -159,3 +160,9 @@ def group_table(n, a):
         (product, sorted(parts), strings, classes)
         for product, (parts, strings, classes) in sorted(groups.items(), reverse=True)
     ]
+
+
+def sample_strings(rng, n, a, size):
+    """Explicit uniform strings, a size x n array; the slow route that the
+    composition sampler is checked against."""
+    return rng.integers(0, a, size=(size, n), dtype="int64")

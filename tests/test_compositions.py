@@ -246,6 +246,8 @@ class TestClassOrder:
         with pytest.raises(ValueError):
             order.strings_before_class((2, 1))
         with pytest.raises(ValueError):
+            order.classes_before((2, 1))
+        with pytest.raises(ValueError):
             order.group_of((3, 3))
 
     def test_iter_group_classes_is_lex_within_group(self):
@@ -317,3 +319,43 @@ class TestGroupTableOracle:
         order = class_order(101, 5)
         assert sum(len(parts) for parts in order.group_partitions) == 48006
         assert len(order.group_products) == 47820
+
+
+class TestZeroRuns:
+    """Rank and selection over count vectors that are mostly zeros."""
+
+    @pytest.mark.parametrize("n, a", [(3, 30), (4, 16), (6, 9), (16, 5)])
+    def test_every_class_against_brute_force(self, n, a):
+        order = ClassOrder(n, a)
+        start = 0
+        for i, (counts, size) in enumerate(oracles.sorted_compositions(n, a)):
+            assert order.strings_before_class(counts) == start
+            assert order.classes_before(counts) == i
+            assert order.locate_string(start) == (counts, 0)
+            assert order.locate_string(start + size - 1) == (counts, size - 1)
+            start += size
+
+    def test_single_symbol_vectors_at_a_large_alphabet(self):
+        # n=1: the classes are the unit vectors, (0,...,0,1) first
+        a = 10**5
+        order = ClassOrder(1, a)
+        for j in (0, 1, a // 2, a - 1):
+            counts = tuple(int(i == j) for i in range(a))
+            assert order.strings_before_class(counts) == a - 1 - j
+            assert order.classes_before(counts) == a - 1 - j
+            assert order.locate_string(a - 1 - j) == (counts, 0)
+
+    def test_pairs_at_a_large_alphabet(self):
+        # n=2: the a vectors with one 2 first, then e_i + e_j (i < j) lex
+        # ascending, which puts a later first 1 earlier.
+        a = 10**4
+        order = ClassOrder(2, a)
+        for i, j in ((0, 1), (0, a - 1), (a - 2, a - 1), (17, 9000), (5000, 5001)):
+            counts = tuple(int(v in (i, j)) for v in range(a))
+            classes = a + math.comb(a - 1 - i, 2) + (a - 1 - j)
+            strings = a + 2 * (classes - a)
+            assert order.classes_before(counts) == classes
+            assert order.strings_before_class(counts) == strings
+            assert order.locate_string(strings + 1) == (counts, 1)
+        assert order.locate_string(a - 1) == ((2,) + (0,) * (a - 1), 0)
+

@@ -1,11 +1,13 @@
 """Seeded sampling estimators: determinism, calibration, exact agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from setshaping import (
     DegenerateSampleError,
     McConfig,
@@ -19,10 +21,10 @@ from setshaping import (
     estimate_table,
     info_from_counts,
     sample_compositions,
-    sample_strings,
     shaped_average_info_exact,
     shard_generator,
 )
+from setshaping import montecarlo
 from setshaping.montecarlo import SHARD_SIZE
 
 
@@ -85,7 +87,7 @@ class TestSampling:
 
     def test_string_sampler_matches_composition_law(self):
         n, a, m = 3, 2, 200_000
-        strings = sample_strings(shard_generator(9, 0), n, a, size=m)
+        strings = oracles.sample_strings(shard_generator(9, 0), n, a, size=m)
         assert strings.shape == (m, n)
         comps = list(enumerate_compositions(n, a))
         probs = np.array([class_weight([1 / a] * a, c) for c in comps])
@@ -97,6 +99,52 @@ class TestSampling:
     def test_info_of_balanced_counts(self):
         got = float(info_from_counts(np.array([[2, 2]]))[0])
         assert math.isclose(got, 4.0, abs_tol=1e-12)
+
+
+class TestInfoFromCounts:
+    """Integer counts go through a c*ln(c) lookup table; the floats must be
+    exactly the ones the direct xlogy formula gives on float input."""
+
+    @staticmethod
+    def _counts():
+        rows = sample_compositions(shard_generator(8, 0), 40, 5, size=500)
+        # one-symbol rows (content exactly 0) in every position, zeros in most
+        return np.vstack([rows, 40 * np.eye(5, dtype=np.int64)])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_table_path_is_bit_identical_to_float_path(self, dtype, monkeypatch):
+        counts = self._counts().astype(dtype)
+        direct = info_from_counts(counts.astype(np.float64))
+        sizes = []
+        real_xlogy = montecarlo.xlogy
+
+        def spy(x, y):
+            sizes.append(np.size(x))
+            return real_xlogy(x, y)
+
+        monkeypatch.setattr(montecarlo, "xlogy", spy)
+        looked_up = info_from_counts(counts)
+        assert sizes == [41]  # one table for totals 0..40, never the matrix
+        assert looked_up.dtype == np.float64
+        assert looked_up.tobytes() == direct.tobytes()
+        assert np.all(looked_up[-5:] == 0.0)
+
+    def test_all_zero_rows_and_tiny_input(self):
+        for counts in ([[0, 0, 0]] * 4, [[3, 0], [0, 3], [1, 2]], [[2, 2]]):
+            counts = np.array(counts)
+            want = info_from_counts(counts.astype(np.float64))
+            assert info_from_counts(counts).tobytes() == want.tobytes()
+
+    def test_empty_matrix(self):
+        for dtype in (np.int64, np.float64):
+            got = info_from_counts(np.zeros((0, 4), dtype=dtype))
+            assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_float_input_keeps_the_float_path(self):
+        counts = np.array([[1.5, 2.5], [4.0, 0.0]])
+        got = info_from_counts(counts)
+        assert got[1] == 0.0
+        assert math.isclose(got[0], 4 * math.log2(4) - 1.5 * math.log2(1.5) - 2.5 * math.log2(2.5))
 
 
 class TestEstimators:
@@ -136,6 +184,72 @@ class TestEstimators:
         est = estimate_average_info(McConfig(alphabet_size=2, n=8, k=1, samples=1, seed=0))
         assert est.samples_used == 1
         assert est.std_error == math.inf
+
+
+class TestTieBand:
+    def test_band_order_matches_per_sample_sort(self):
+        # (4,4,4,4,0) and (8,2,2,2,2) tie on product across partitions;
+        # permutations tie within one; samples repeat every vector.
+        vectors = np.array(
+            [(4, 4, 4, 4, 0), (8, 2, 2, 2, 2), (2, 8, 2, 2, 2), (0, 4, 4, 4, 4),
+             (5, 5, 3, 3, 0), (3, 5, 5, 0, 3), (16, 0, 0, 0, 0)]
+        )
+        rng = np.random.default_rng(4)
+        counts = vectors[rng.integers(0, len(vectors), size=2 * SHARD_SIZE + 99)]
+        band = rng.random(len(counts)) < 0.01
+        shards = [
+            (counts[lo : lo + SHARD_SIZE], None) for lo in range(0, len(counts), SHARD_SIZE)
+        ]
+        got = montecarlo._band_in_exact_order(shards, band)
+        rows = {i: tuple(counts[i].tolist()) for i in np.flatnonzero(band).tolist()}
+        want = sorted(rows, key=lambda i: (-oracles.order_product(rows[i]), rows[i], i))
+        assert got.tolist() == want
+
+
+class TestGolden:
+    """Estimates pinned to their reprs, across an uneven shard split."""
+
+    M = 3 * SHARD_SIZE + 17
+    EXPECTED = {
+        2: (
+            "McEstimate(mean=99.27436098065883, std_error=0.0023110830663803763, samples_used=196625)",
+            "McEstimate(mean=99.65801904325737, std_error=0.004286608666629007, samples_used=98312)",
+        ),
+        6: (
+            "McEstimate(mean=254.85061620463054, std_error=0.005189105410924694, samples_used=196625)",
+            "McEstimate(mean=253.45907153862962, std_error=0.014025563608827965, samples_used=32770)",
+        ),
+        10: (
+            "McEstimate(mean=325.56644332067043, std_error=0.007070014513115993, samples_used=196625)",
+            "McEstimate(mean=322.3910449110645, std_error=0.021958151956053263, samples_used=19662)",
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("a", [2, 6, 10])
+    def test_reprs_are_pinned(self, a, threads):
+        cfg = McConfig(alphabet_size=a, n=100, k=1, samples=self.M, seed=2021, threads=threads)
+        got = (repr(estimate_average_info(cfg)), repr(estimate_shaped_average_info(cfg)))
+        assert got == self.EXPECTED[a]
+
+
+class TestMemory:
+    """Peak traced allocation against the bytes of the int64 count matrix."""
+
+    @pytest.mark.parametrize(
+        "estimator, limit",
+        [(estimate_average_info, 0.6), (estimate_shaped_average_info, 1.75)],
+    )
+    def test_peak_against_count_matrix(self, estimator, limit):
+        m, a = 16 * SHARD_SIZE, 10
+        cfg = McConfig(alphabet_size=a, n=100, k=1, samples=m, seed=3, threads=2)
+        tracemalloc.start()
+        try:
+            estimator(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * m * a * 8
 
 
 class TestDeterminism:
