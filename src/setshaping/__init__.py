@@ -41,8 +41,6 @@ from .compositions import (
     class_weight,
     composition_count,
     composition_info_bits,
-    enumerate_compositions,
-    exact_compare,
     multinomial,
     order_product,
 )
@@ -70,8 +68,6 @@ from .source import (
     composition_of,
     empirical_information_content,
     information_content,
-    literal_information_content,
-    string_probability,
     validate_symbols,
 )
 
@@ -105,15 +101,12 @@ __all__ = [
     "empirical_information_content",
     "encode",
     "encoded_bit_length",
-    "enumerate_compositions",
     "estimate_average_info",
     "estimate_shaped_average_info",
     "estimate_table",
-    "exact_compare",
     "in_image",
     "info_from_counts",
     "information_content",
-    "literal_information_content",
     "multinomial",
     "order_product",
     "rank_info_series",
@@ -125,7 +118,6 @@ __all__ = [
     "shaped_average_info_exact",
     "shaped_threshold",
     "shaping_experiment",
-    "string_probability",
     "string_rank",
     "string_unrank",
     "unshape",

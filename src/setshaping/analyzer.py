@@ -3,8 +3,11 @@
 A string's empirical information content depends only on its composition, so
 the mean over all a**n strings reduces to a weighted sum over composition
 classes, and the mean over the a**n lowest-content strings of length n+k
-reduces to prefix sums of the exact class order plus one partially included
-boundary class.  Nothing here enumerates strings.
+reduces to whole tie groups of the exact class order plus one partially
+included group.  Every uniform mean and per-rank series reads that cut from
+ClassOrder.head: the first a**n strings of the length-n order (all of them)
+or of the length-(n+k) order (the shaped selection).  Non-uniform means walk
+the classes of the order instead.  Nothing here enumerates strings.
 
 The selection cutoff slices the length-(n+k) order after exactly a**n
 strings.  When the cut lands inside a class, the selected members are the
@@ -17,17 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .compositions import (
     DEFAULT_COMPOSITION_CAP,
-    check_composition_cap,
+    ClassOrder,
+    _log_probability,
     class_order,
     class_weight,
     composition_info_bits,
-    enumerate_compositions,
     multinomial,
 )
 from .errors import ResourceLimitError
@@ -96,6 +100,20 @@ class SelectionBoundary:
     complement_min_info: float
 
 
+def _check_shaping(a: int, n: int, k: int) -> None:
+    if a < 2:
+        raise ValueError("shaping needs an alphabet of at least two symbols")
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+
+
+def _head_mean(order: ClassOrder, count: int) -> float:
+    """Plain mean content of the first count strings of the order."""
+    infos, taken = order.head(count)
+    terms = [float(strings) * float(info) for strings, info in zip(taken, infos)]
+    return math.fsum(terms) / float(count)
+
+
 def average_info_exact(
     ensemble: SourceEnsemble,
     n: int,
@@ -112,19 +130,15 @@ def average_info_exact(
         return 0.0
     if interpretation == "literal" and ensemble.is_uniform:
         return n * math.log2(a)
+    order = class_order(n, a, cap)
     if interpretation == "empirical" and ensemble.is_uniform:
-        order = class_order(n, a, cap)
-        terms = [
-            float(strings) * float(info)
-            for strings, info in zip(order.group_string_totals, order.group_infos)
-        ]
-        return math.fsum(terms) / float(a**n)
+        return _head_mean(order, order.total_strings)
 
-    check_composition_cap(n, a, cap)
+    # fsum is correctly rounded, so the order of the terms does not matter.
     probs = ensemble.probabilities
     log2p = [math.log2(p) if p > 0.0 else 0.0 for p in probs]
     terms = []
-    for counts in enumerate_compositions(n, a):
+    for counts, _ in order.iter_classes():
         weight = class_weight(probs, counts)
         if weight == 0.0:
             continue
@@ -146,20 +160,8 @@ def shaped_average_info_exact(
     Uniform sources only: every selected string carries weight a**-n, so the
     mean is a plain average and whole tie groups contribute strings*info.
     """
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    order = class_order(n + k, a, cap)
-    remaining = a**n
-    terms = []
-    for info, strings in zip(order.group_infos, order.group_string_totals):
-        take = strings if strings <= remaining else remaining
-        terms.append(float(take) * float(info))
-        remaining -= take
-        if remaining == 0:
-            break
-    return math.fsum(terms) / float(a**n)
+    _check_shaping(a, n, k)
+    return _head_mean(class_order(n + k, a, cap), a**n)
 
 
 def shaped_average_info(
@@ -181,8 +183,7 @@ def shaped_average_info(
     if interpretation not in ("empirical", "literal"):
         raise ValueError(f"unknown interpretation {interpretation!r}")
     a = ensemble.alphabet_size
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
+    _check_shaping(a, n, k)
     if ensemble.is_uniform and interpretation == "empirical":
         return shaped_average_info_exact(a, n, k, cap)
 
@@ -192,20 +193,12 @@ def shaped_average_info(
 
     def x_runs() -> Iterator[tuple[int, float]]:
         for counts, size in order_x.iter_classes():
-            log_p = 0.0
-            dead = False
-            for p, c in zip(probs, counts):
-                if c == 0:
-                    continue
-                if p == 0.0:
-                    dead = True
-                    break
-                log_p += c * math.log(p)
-            yield size, 0.0 if dead else math.exp(log_p)
+            yield size, math.exp(_log_probability(probs, counts))
 
     def y_runs() -> Iterator[tuple[int, float]]:
         if interpretation == "empirical":
-            for info, strings in zip(order_y.group_infos, order_y.group_string_totals):
+            infos, taken = order_y.head(a**n)
+            for info, strings in zip(infos, taken):
                 yield strings, float(info)
         else:
             for counts, size in order_y.iter_classes():
@@ -243,10 +236,7 @@ def shaped_threshold(
     class_limit: int = DEFAULT_BOUNDARY_CLASS_LIMIT,
 ) -> SelectionBoundary:
     """Locate the cutoff after a**n strings in the length-(n+k) order."""
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shaping(a, n, k)
     order = class_order(n + k, a, cap)
     target = a**n
 
@@ -266,18 +256,12 @@ def shaped_threshold(
             f"beyond the materialization limit of {class_limit}"
         )
 
-    included = []
-    for composition, size in order.iter_classes():
-        if len(included) == full_classes:
-            break
-        included.append((composition, size))
-
     return SelectionBoundary(
         alphabet_size=a,
         block_length=n,
         surplus=k,
         target=target,
-        fully_included=tuple(included),
+        fully_included=tuple(islice(order.iter_classes(), full_classes)),
         boundary_class=boundary,
         strings_from_boundary=from_boundary,
         selection_max_info=order.info_at(target - 1),
@@ -289,10 +273,7 @@ def complement_min_info(
     a: int, n: int, k: int, cap: int = DEFAULT_COMPOSITION_CAP
 ) -> float:
     """Lowest content among length-(n+k) strings the selection leaves out."""
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shaping(a, n, k)
     order = class_order(n + k, a, cap)
     return order.info_at(a**n)
 
@@ -310,31 +291,15 @@ def rank_info_series(
     contents of all length-n strings, and the sorted contents of the a**n
     selected length-(n+k) strings.
     """
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
+    _check_shaping(a, n, k)
     total = a**n
     if total > limit:
         raise ResourceLimitError(
             f"{a}**{n} = {total} ranks exceed the series limit of {limit}"
         )
 
-    order_x = class_order(n, a, cap)
-    xs = np.repeat(
-        order_x.group_infos, np.array(order_x.group_string_totals, dtype=np.int64)
-    )
+    def series(length: int) -> np.ndarray:
+        infos, taken = class_order(length, a, cap).head(total)
+        return np.repeat(infos, np.array(taken, dtype=np.int64))
 
-    order_y = class_order(n + k, a, cap)
-    remaining = total
-    reps = []
-    for strings in order_y.group_string_totals:
-        take = strings if strings <= remaining else remaining
-        reps.append(int(take))
-        remaining -= take
-        if remaining == 0:
-            break
-    ys = np.repeat(
-        order_y.group_infos[: len(reps)], np.array(reps, dtype=np.int64)
-    )
-    return xs, ys
+    return series(n), series(n + k)

@@ -15,14 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compositions import (
-    DEFAULT_COMPOSITION_CAP,
-    check_composition_cap,
-    class_order,
-    multinomial,
-)
+import numpy as np
+
+from .compositions import DEFAULT_COMPOSITION_CAP, class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
-from .source import composition_of, validate_symbols
+from .source import validate_symbols
 
 
 @dataclass(frozen=True)
@@ -44,9 +41,6 @@ class ShapingParameters:
     @property
     def output_length(self) -> int:
         return self.n + self.k
-
-    def check_cap(self, cap: int = DEFAULT_COMPOSITION_CAP) -> None:
-        check_composition_cap(self.output_length, self.alphabet_size, cap)
 
 
 def _rank_within_class(symbols: Sequence[int], counts: Sequence[int]) -> int:
@@ -99,10 +93,24 @@ def string_rank(
     arr = validate_symbols(symbols, alphabet_size)
     if arr.size == 0:
         raise ValueError("a string must be nonempty")
+    return _rank_valid(arr, alphabet_size, cap)
+
+
+def _rank_valid(arr: np.ndarray, alphabet_size: int, cap: int) -> int:
+    """string_rank of a nonempty array that validate_symbols accepted."""
     order = class_order(int(arr.size), alphabet_size, cap)
-    counts = composition_of(arr, alphabet_size)
-    seq = [int(s) for s in arr]
-    return order.strings_before_class(counts) + _rank_within_class(seq, counts)
+    counts = tuple(int(c) for c in np.bincount(arr, minlength=alphabet_size))
+    return order.strings_before_class(counts) + _rank_within_class(arr.tolist(), counts)
+
+
+def _block_rank(
+    symbols: Sequence[int], params: ShapingParameters, length: int, cap: int
+) -> int:
+    """Rank of a block that must hold exactly length symbols of the alphabet."""
+    arr = validate_symbols(symbols, params.alphabet_size)
+    if arr.size != length:
+        raise BlockLengthError(f"expected a block of length {length}, got {arr.size}")
+    return _rank_valid(arr, params.alphabet_size, cap)
 
 
 def string_unrank(
@@ -127,10 +135,7 @@ def shape(
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> tuple[int, ...]:
     """Map a length-n string to its length n+k image of equal rank."""
-    arr = validate_symbols(symbols, params.alphabet_size)
-    if arr.size != params.n:
-        raise BlockLengthError(f"expected a block of length {params.n}, got {arr.size}")
-    rank = string_rank(arr, params.alphabet_size, cap)
+    rank = _block_rank(symbols, params, params.n, cap)
     return string_unrank(rank, params.output_length, params.alphabet_size, cap)
 
 
@@ -140,12 +145,7 @@ def unshape(
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> tuple[int, ...]:
     """Invert shape; raises NotInImageError off the image of the map."""
-    arr = validate_symbols(symbols, params.alphabet_size)
-    if arr.size != params.output_length:
-        raise BlockLengthError(
-            f"expected a block of length {params.output_length}, got {arr.size}"
-        )
-    rank = string_rank(arr, params.alphabet_size, cap)
+    rank = _block_rank(symbols, params, params.output_length, cap)
     limit = params.alphabet_size**params.n
     if rank >= limit:
         raise NotInImageError(
@@ -160,10 +160,5 @@ def in_image(
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> bool:
     """Whether a length n+k string is the image of some length-n string."""
-    arr = validate_symbols(symbols, params.alphabet_size)
-    if arr.size != params.output_length:
-        raise BlockLengthError(
-            f"expected a block of length {params.output_length}, got {arr.size}"
-        )
-    rank = string_rank(arr, params.alphabet_size, cap)
+    rank = _block_rank(symbols, params, params.output_length, cap)
     return rank < params.alphabet_size**params.n

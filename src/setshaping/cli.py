@@ -30,10 +30,7 @@ from .bijection import ShapingParameters, shape, string_rank, string_unrank, uns
 from .codec import shaping_experiment
 from .errors import (
     BlockLengthError,
-    CorruptStreamError,
-    DegenerateSampleError,
     InvalidSymbolError,
-    NotInImageError,
     ResourceLimitError,
     ShapingError,
 )
@@ -419,15 +416,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (
-        InvalidSymbolError,
-        BlockLengthError,
-        NotInImageError,
-        CorruptStreamError,
-        DegenerateSampleError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ShapingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
@@ -88,56 +88,36 @@ def composition_info_bits(counts: Sequence[int]) -> float:
     return n * math.log2(n) - math.fsum(c * math.log2(c) for c in counts if c > 1)
 
 
-def exact_compare(c1: Sequence[int], c2: Sequence[int]) -> int:
-    """-1, 0, or +1 ordering two equal-total compositions exactly.
+def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> float:
+    """Natural log of the probability of one string with the given counts.
 
-    Lower information content first; exact ties fall back to the count
-    vectors compared lexicographically.
+    -inf when the string uses a zero-probability symbol.
     """
-    if sum(c1) != sum(c2):
-        raise ValueError("compositions must have equal totals")
-    p1, p2 = order_product(c1), order_product(c2)
-    if p1 != p2:
-        return -1 if p1 > p2 else 1
-    t1, t2 = tuple(c1), tuple(c2)
-    if t1 == t2:
-        return 0
-    return -1 if t1 < t2 else 1
-
-
-def enumerate_compositions(n: int, a: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n into a parts, lexicographically ascending."""
-    if a < 1:
-        raise ValueError("need a >= 1")
-    if a == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in enumerate_compositions(n - head, a - 1):
-            yield (head,) + rest
+    log_p = 0.0
+    for p, c in zip(probabilities, counts):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return -math.inf
+        log_p += c * math.log(p)
+    return log_p
 
 
 def class_weight(probabilities: Sequence[float], counts: Sequence[int]) -> float:
     """Probability that an i.i.d. draw of sum(counts) symbols lands in the class."""
     if len(probabilities) != len(counts):
         raise ValueError("probability vector and composition sizes differ")
-    log_p = 0.0
-    for p, c in zip(probabilities, counts):
-        if c == 0:
-            continue
-        if p == 0.0:
-            return 0.0
-        log_p += c * math.log(p)
+    log_p = _log_probability(probabilities, counts)
+    if log_p == -math.inf:
+        return 0.0
     try:
-        scale = float(multinomial(counts))
+        return float(multinomial(counts)) * math.exp(log_p)
     except OverflowError:
-        scale = None
-    if scale is None or scale == math.inf:
+        # The class size is beyond float range: combine in log space.
         log_scale = math.lgamma(sum(counts) + 1) - math.fsum(
             math.lgamma(c + 1) for c in counts
         )
         return math.exp(log_scale + log_p)
-    return scale * math.exp(log_p)
 
 
 def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int]]:
@@ -355,10 +335,6 @@ class ClassOrder:
             raise ValueError("composition does not match this order")
         return counts
 
-    def class_size(self, counts: Sequence[int]) -> int:
-        """Strings in the composition's class (multinomial coefficient)."""
-        return multinomial(counts)
-
     def strings_before_class(self, counts: Sequence[int]) -> int:
         """Exact number of strings ranked before the first string of the class."""
         counts = self._checked(counts)
@@ -383,6 +359,20 @@ class ClassOrder:
             raise ValueError(f"string index {index} out of range")
         gi = bisect_right(self._string_prefix, index) - 1
         return self._select_in_group(gi, index - self._string_prefix[gi])
+
+    def head(self, count: int) -> tuple[np.ndarray, list[int]]:
+        """The first count strings of the order, one tie group at a time.
+
+        Returns the information contents of the groups they touch and how
+        many strings each group gives: all of its strings, except for the
+        last group, which the cut may split.
+        """
+        if not 0 < count <= self.total_strings:
+            raise ValueError(f"string count {count} out of range")
+        g = bisect_left(self._string_prefix, count)
+        taken = self.group_string_totals[: g - 1]
+        taken.append(count - self._string_prefix[g - 1])
+        return self.group_infos[:g], taken
 
     def info_at(self, index: int) -> float:
         """Information content of the string at the given position."""
@@ -452,7 +442,12 @@ _ORDER_LOCK = threading.Lock()
 
 
 def class_order(n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP) -> ClassOrder:
-    """Shared ClassOrder for (n, a); builds are serialized and idempotent."""
+    """Shared ClassOrder for (n, a); builds are serialized and idempotent.
+
+    The cap is checked on every call, so a cached order is refused to a
+    caller with a lower cap just as a build would be.
+    """
+    check_composition_cap(n, a, cap)
     key = (n, a)
     order = _ORDER_CACHE.get(key)
     if order is not None:

@@ -91,13 +91,6 @@ def composition_of(symbols: Sequence[int], alphabet_size: int) -> tuple[int, ...
     return tuple(int(c) for c in np.bincount(arr, minlength=alphabet_size))
 
 
-def string_probability(ensemble: SourceEnsemble, symbols: Sequence[int]) -> float:
-    """Probability of the exact string under the i.i.d. source."""
-    arr = validate_symbols(symbols, ensemble.alphabet_size)
-    probs = np.asarray(ensemble.probabilities)
-    return float(np.prod(probs[arr]))
-
-
 def literal_information_content(
     ensemble: SourceEnsemble, symbols: Sequence[int]
 ) -> float:

@@ -40,6 +40,18 @@ def order_product(counts):
     return prod
 
 
+def exact_compare(c1, c2):
+    """-1, 0 or +1 ordering two equal-total compositions: content ascending
+    (order product descending), then count vectors lexicographically."""
+    k1, k2 = (-order_product(c1), tuple(c1)), (-order_product(c2), tuple(c2))
+    return (k1 > k2) - (k1 < k2)
+
+
+def string_probability(probs, s):
+    """Probability of the exact string under the i.i.d. source."""
+    return math.prod(probs[sym] for sym in s)
+
+
 def string_sort_key(s, a):
     """Total order: info ascending, then counts lex ascending, then string lex."""
     counts = counts_of(s, a)

@@ -1,5 +1,7 @@
 """Rank/unrank correspondence and the length-increasing shaping map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,3 +150,29 @@ class TestShapingMap:
         x = data.draw(st.lists(st.integers(min_value=0, max_value=a - 1), min_size=n, max_size=n))
         y = shape(x, params)
         assert list(unshape(y, params)) == x
+
+
+class TestGolden:
+    """Seeded blocks through shape, unshape and in_image, pinned by hash."""
+
+    EXPECTED = {
+        (3, 100, 1): "d3490905830f0844634c550519569e454acc68fa6486cfff4cefeda3983cc510",
+        (5, 100, 1): "18dcfad367f6c70b16a05148fe76b19024ae83f0414fd62c1e552cc0021ddf63",
+        (2, 30, 2): "f458c859932fea8c6ec8be9028389fcf9e08d935894a1fcb2661ffd50ba06cb3",
+    }
+
+    @pytest.mark.parametrize("a, n, k", sorted(EXPECTED))
+    def test_outcomes_are_pinned(self, a, n, k):
+        params = ShapingParameters(a, n, k)
+        rng = np.random.default_rng([a, n, k])
+        out = []
+        for _ in range(50):
+            x = rng.integers(0, a, size=n).tolist()
+            z = rng.integers(0, a, size=n + k).tolist()
+            y = shape(x, params)
+            try:
+                back = unshape(z, params)
+            except NotInImageError as exc:
+                back = str(exc)
+            out.append((y, unshape(y, params), in_image(y, params), in_image(z, params), back))
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == self.EXPECTED[a, n, k]

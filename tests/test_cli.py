@@ -8,7 +8,17 @@ import sys
 
 import pytest
 
+from setshaping import cli
 from setshaping.cli import TABLE_COLUMNS, main
+from setshaping.errors import (
+    BlockLengthError,
+    CorruptStreamError,
+    DegenerateSampleError,
+    InvalidSymbolError,
+    NotInImageError,
+    ResourceLimitError,
+    ShapingError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +283,28 @@ class TestCodecExperiment:
         assert code == 0
         (row,) = parse_csv(out)
         assert row["block_length"] == "6"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ResourceLimitError, 4),
+            (InvalidSymbolError, 3),
+            (BlockLengthError, 3),
+            (NotInImageError, 3),
+            (CorruptStreamError, 3),
+            (DegenerateSampleError, 3),
+            (ShapingError, 3),
+            (ValueError, 2),
+        ],
+    )
+    def test_error_type_maps_to_exit_code(self, capsys, monkeypatch, error, code):
+        def handler(args):
+            raise error("stub failure")
+
+        monkeypatch.setattr(cli, "cmd_rank", handler)
+        assert run_cli(capsys, "rank", "-a", "3", "012") == (code, "", "error: stub failure\n")
 
 
 class TestParser:

@@ -15,8 +15,6 @@ from setshaping import (
     class_weight,
     composition_count,
     composition_info_bits,
-    enumerate_compositions,
-    exact_compare,
     multinomial,
     order_product,
 )
@@ -26,9 +24,16 @@ from setshaping.compositions import check_composition_cap
 def compositions():
     return st.integers(min_value=2, max_value=5).flatmap(
         lambda a: st.integers(min_value=1, max_value=12).flatmap(
-            lambda n: st.sampled_from(list(enumerate_compositions(n, a)))
+            lambda n: st.sampled_from(list(oracles.compositions(n, a)))
         )
     )
+
+
+def library_compare(c1, c2):
+    """-1, 0 or +1 from the classes' positions in the library's order."""
+    order = class_order(sum(c1), len(c1))
+    r1, r2 = order.classes_before(c1), order.classes_before(c2)
+    return (r1 > r2) - (r1 < r2)
 
 
 class TestCounting:
@@ -39,14 +44,20 @@ class TestCounting:
 
     def test_enumeration_length_matches_count(self):
         for n, a in [(1, 2), (4, 3), (6, 2), (5, 4)]:
-            comps = list(enumerate_compositions(n, a))
+            comps = [c for c, _ in ClassOrder(n, a).iter_classes()]
             assert len(comps) == composition_count(n, a)
             assert len(set(comps)) == len(comps)
             assert all(sum(c) == n and len(c) == a for c in comps)
+            assert set(comps) == set(oracles.compositions(n, a))
 
     def test_enumeration_is_lexicographic(self):
-        comps = list(enumerate_compositions(5, 3))
+        # the oracle the tests enumerate with, and the order inside every tie group
+        comps = list(oracles.compositions(5, 3))
         assert comps == sorted(comps)
+        order = ClassOrder(8, 5)
+        for gi in range(len(order.group_products)):
+            vectors = [v for v, _ in order.iter_group_classes(gi)]
+            assert vectors == sorted(vectors)
 
     def test_multinomial_matches_factorials(self):
         for counts in [(3,), (2, 2), (1, 2, 3), (0, 5, 0), (4, 4, 4, 4, 0)]:
@@ -58,7 +69,7 @@ class TestCounting:
 
     def test_class_sizes_tile_the_string_space(self):
         for n, a in [(4, 2), (5, 3), (3, 4)]:
-            assert sum(multinomial(c) for c in enumerate_compositions(n, a)) == a**n
+            assert sum(multinomial(c) for c in oracles.compositions(n, a)) == a**n
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
@@ -88,7 +99,7 @@ class TestOrderKeys:
     def test_product_order_is_info_order(self):
         # larger product means lower information content, exactly
         n, a = 9, 3
-        comps = list(enumerate_compositions(n, a))
+        comps = list(oracles.compositions(n, a))
         for c1 in comps[::7]:
             for c2 in comps[::5]:
                 p1, p2 = order_product(c1), order_product(c2)
@@ -99,11 +110,15 @@ class TestOrderKeys:
                     assert i1 > i2 - 1e-9
 
     def test_exact_compare_orders_by_product_then_counts(self):
-        assert exact_compare((3, 0), (0, 3)) == 1
-        assert exact_compare((0, 3), (3, 0)) == -1
-        assert exact_compare((2, 1), (2, 1)) == 0
-        # higher product sorts earlier
-        assert exact_compare((0, 3), (1, 2)) == -1
+        for c1, c2, expect in [
+            ((3, 0), (0, 3), 1),
+            ((0, 3), (3, 0), -1),
+            ((2, 1), (2, 1), 0),
+            # higher product sorts earlier
+            ((0, 3), (1, 2), -1),
+        ]:
+            assert library_compare(c1, c2) == expect
+            assert oracles.exact_compare(c1, c2) == expect
 
     def test_cross_partition_exact_tie(self):
         # 4^4 repeated four times equals 8^8 * 2^2 four times: same product,
@@ -111,32 +126,33 @@ class TestOrderKeys:
         c1 = (4, 4, 4, 4, 0)
         c2 = (8, 2, 2, 2, 2)
         assert order_product(c1) == order_product(c2)
-        assert exact_compare(c1, c2) == -1
-        assert exact_compare(c2, c1) == 1
+        assert library_compare(c1, c2) == -1
+        assert library_compare(c2, c1) == 1
 
     @given(compositions(), compositions())
     def test_exact_compare_is_antisymmetric(self, c1, c2):
         if len(c1) != len(c2) or sum(c1) != sum(c2):
             return
-        assert exact_compare(c1, c2) == -exact_compare(c2, c1)
+        assert library_compare(c1, c2) == oracles.exact_compare(c1, c2)
+        assert library_compare(c1, c2) == -library_compare(c2, c1)
 
     @given(compositions())
     def test_exact_compare_reflexive(self, c):
-        assert exact_compare(c, c) == 0
+        assert library_compare(c, c) == 0
 
 
 class TestClassWeight:
     def test_uniform_weight_is_class_share(self):
         n, a = 5, 3
         probs = [1.0 / a] * a
-        for counts in enumerate_compositions(n, a):
+        for counts in oracles.compositions(n, a):
             got = class_weight(probs, counts)
             assert math.isclose(got, multinomial(counts) / a**n, rel_tol=1e-12)
 
     def test_weights_sum_to_one(self):
         for probs in [(0.5, 0.5), (0.7, 0.3), (0.5, 0.25, 0.25), (0.9, 0.05, 0.05)]:
             n = 8
-            total = math.fsum(class_weight(probs, c) for c in enumerate_compositions(n, len(probs)))
+            total = math.fsum(class_weight(probs, c) for c in oracles.compositions(n, len(probs)))
             assert math.isclose(total, 1.0, abs_tol=1e-12)
 
     def test_weight_matches_exact_fraction(self):
@@ -144,6 +160,12 @@ class TestClassWeight:
         counts = (2, 1, 1)
         exact = multinomial(counts) * Fraction(1, 2) ** 2 * Fraction(1, 4) ** 2
         assert math.isclose(class_weight(probs, counts), float(exact), rel_tol=1e-12)
+
+    def test_class_size_beyond_float_range(self):
+        counts = (550, 550)
+        assert multinomial(counts) > 2**1024
+        exact = Fraction(multinomial(counts), 2**1100)
+        assert math.isclose(class_weight((0.5, 0.5), counts), float(exact), rel_tol=1e-9)
 
     def test_zero_probability_symbol(self):
         probs = (1.0, 0.0)
@@ -266,6 +288,12 @@ class TestClassOrder:
     def test_shared_instances_are_cached(self):
         assert class_order(7, 2) is class_order(7, 2)
 
+    def test_cap_applies_to_cached_orders(self):
+        class_order(9, 3)
+        with pytest.raises(ResourceLimitError):
+            class_order(9, 3, cap=54)
+        assert class_order(9, 3, cap=55) is class_order(9, 3)
+
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=7), st.data())
     def test_locate_inverts_strings_before(self, a, n, data):
@@ -276,6 +304,44 @@ class TestClassOrder:
         start = order.strings_before_class(counts)
         assert start <= index < start + multinomial(counts)
         assert offset == index - start
+
+
+class TestHead:
+    """The first count strings of the order, as tie-group contents and counts."""
+
+    @pytest.mark.parametrize("n, a", [(4, 2), (3, 3), (4, 3), (3, 4)])
+    def test_every_cut_against_sorted_strings(self, n, a):
+        order = ClassOrder(n, a)
+        strings = oracles.all_strings_sorted(n, a)
+        products = [oracles.order_product(oracles.counts_of(s, a)) for s in strings]
+        edges = {0}
+        for i in range(1, len(products)):
+            if products[i] != products[i - 1]:
+                edges.add(i)
+        for count in range(1, a**n + 1):
+            infos, taken = order.head(count)
+            # one run per tie group the first count strings touch
+            runs = []
+            for i in range(count):
+                if i in edges:
+                    runs.append([0, oracles.empirical_info(strings[i], a)])
+                runs[-1][0] += 1
+            assert taken == [r[0] for r in runs]
+            assert len(infos) == len(runs)
+            for info, (_, expect) in zip(infos, runs):
+                assert math.isclose(info, expect, abs_tol=1e-12)
+        # the cases: inside the first group, on a group edge, inside a later group
+        first_edge = min(edges - {0})
+        assert first_edge > 1 and any(e + 1 not in edges for e in edges - {0})
+        assert order.head(first_edge)[1] == [first_edge]
+        assert order.head(a**n)[1] == order.group_string_totals
+
+    def test_count_bounds_checked(self):
+        order = ClassOrder(3, 2)
+        with pytest.raises(ValueError):
+            order.head(0)
+        with pytest.raises(ValueError):
+            order.head(9)
 
 
 class TestGroupTableOracle:

@@ -1,5 +1,6 @@
 """Exact mean information content, cut boundaries, and rank series."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -63,6 +64,12 @@ class TestAverageInfoExact:
         want = oracles.weighted_mean_info(6, probs, lambda s: oracles.literal_info(s, probs))
         assert math.isclose(got, want, abs_tol=1e-9)
 
+    def test_cap_enforced_for_every_source(self):
+        for ens in (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2))):
+            average_info_exact(ens, 9)
+            with pytest.raises(ResourceLimitError):
+                average_info_exact(ens, 9, cap=10)
+
     def test_interpretation_validated(self):
         with pytest.raises(ValueError):
             average_info_exact(SourceEnsemble.uniform(2), 3, interpretation="nope")
@@ -111,6 +118,13 @@ class TestShapedAverage:
         ens = SourceEnsemble.uniform(3)
         got = shaped_average_info(ens, 4, 1, interpretation="literal")
         assert math.isclose(got, 5 * math.log2(3), abs_tol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 0)])
+    def test_shape_parameters_validated_for_every_source(self, n, k):
+        for ens in (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2))):
+            for interpretation in ("empirical", "literal"):
+                with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+                    shaped_average_info(ens, n, k, interpretation)
 
 
 class TestSelectionBoundary:
@@ -192,3 +206,69 @@ class TestAverageReport:
         assert d["method"] == "exact"
         assert d["source_stderr"] is None
         assert math.isclose(d["diff_bits"], 0.02)
+
+
+class TestGolden:
+    """Exact values pinned to their reprs and array hashes, bit for bit."""
+
+    # (a, n) -> (average_info_exact, shaped_average_info_exact at k=1)
+    UNIFORM = {
+        (2, 2): ("1.0", "1.3774437510817341"),
+        (3, 3): ("2.8932333352564163", "2.8845444425213618"),
+        (4, 4): ("5.295958593344349", "5.049574215401134"),
+        (5, 5): ("8.069813849123863", "7.70802116871702"),
+        (6, 6): ("11.137216137988704", "10.222651001192737"),
+        (7, 7): ("14.447856311950293", "13.387108465219288"),
+        (2, 100): ("99.27499633579981", "99.65738146443685"),
+        (3, 100): ("157.04371004517174", "157.0335905213672"),
+        (4, 100): ("197.81730510127227", "197.3388921135029"),
+        (5, 100): ("229.27724700987955", "228.32641401775854"),
+    }
+    # (a, n, k) -> sha256 of the two float64 series
+    SERIES = {
+        (3, 10, 1): (
+            "12491fcfa21e53ac1753b039e91d52bc4d11d3d48fafd79540002b1536feb8fc",
+            "79f25455ea775e610901d320d6bde525f3bc9eb2aa2fff88facef3afac2a6c0a",
+        ),
+        (2, 12, 2): (
+            "30d2b5648903dbcd9e44931c2115bf092bf930f961bd388bf7a787f60d3e51cc",
+            "6ebcd126764ff6465fb2a2e20d32f9a015a74b03aedd837058ff673ebd514a47",
+        ),
+        (4, 6, 3): (
+            "f51b887a2fe79c83bb9aa513d4b33674670cfa1c0db86db79b4e454c52c93926",
+            "ecb09d0e719ce232b09147211aee4d5471fbe9f720c4e05a785d686843e8cadb",
+        ),
+    }
+    # (probabilities, interpretation) -> (average at n=9, shaped at n=6, k=2)
+    SOURCES = {
+        ((0.5, 0.3, 0.2), "empirical"): ("11.727932772114842", "6.948848070178815"),
+        ((0.5, 0.3, 0.2), "literal"): ("13.36927767504601", "13.752781558953407"),
+        ((0.7, 0.3, 0.0), "empirical"): ("7.133160586913857", "5.052144061394016"),
+        ((0.7, 0.3, 0.0), "literal"): ("7.931618093076227", "inf"),
+        ((0.1, 0.2, 0.3, 0.4), "empirical"): ("14.12626793538073", "8.000284266070606"),
+        ((0.1, 0.2, 0.3, 0.4), "literal"): ("16.617954102039146", "16.670125314750493"),
+    }
+
+    @pytest.mark.parametrize("a, n", sorted(UNIFORM))
+    def test_uniform_means(self, a, n):
+        got = (
+            repr(average_info_exact(SourceEnsemble.uniform(a), n)),
+            repr(shaped_average_info_exact(a, n, 1)),
+        )
+        assert got == self.UNIFORM[a, n]
+
+    @pytest.mark.parametrize("a, n, k", sorted(SERIES))
+    def test_rank_series(self, a, n, k):
+        xs, ys = rank_info_series(a, n, k)
+        assert xs.dtype == ys.dtype == np.float64
+        got = tuple(hashlib.sha256(v.tobytes()).hexdigest() for v in (xs, ys))
+        assert got == self.SERIES[a, n, k]
+
+    @pytest.mark.parametrize("probs, interpretation", sorted(SOURCES))
+    def test_source_means(self, probs, interpretation):
+        ens = SourceEnsemble(probs)
+        got = (
+            repr(average_info_exact(ens, 9, interpretation)),
+            repr(shaped_average_info(ens, 6, 2, interpretation)),
+        )
+        assert got == self.SOURCES[probs, interpretation]

@@ -15,7 +15,6 @@ from setshaping import (
     SourceEnsemble,
     average_info_exact,
     class_weight,
-    enumerate_compositions,
     estimate_average_info,
     estimate_shaped_average_info,
     estimate_table,
@@ -75,7 +74,7 @@ class TestSampling:
     def test_composition_sampler_goodness_of_fit(self):
         # sampled composition frequencies against the exact class weights
         n, a, m = 5, 3, 10**6
-        comps = list(enumerate_compositions(n, a))
+        comps = list(oracles.compositions(n, a))
         index = {c: i for i, c in enumerate(comps)}
         probs = np.array([class_weight([1 / a] * a, c) for c in comps])
         counts = sample_compositions(shard_generator(42, 0), n, a, size=m)
@@ -89,7 +88,7 @@ class TestSampling:
         n, a, m = 3, 2, 200_000
         strings = oracles.sample_strings(shard_generator(9, 0), n, a, size=m)
         assert strings.shape == (m, n)
-        comps = list(enumerate_compositions(n, a))
+        comps = list(oracles.compositions(n, a))
         probs = np.array([class_weight([1 / a] * a, c) for c in comps])
         ones = strings.sum(axis=1)
         observed = np.array([(ones == c[1]).sum() for c in comps])

@@ -13,10 +13,11 @@ from setshaping import (
     composition_of,
     empirical_information_content,
     information_content,
-    literal_information_content,
-    string_probability,
+    class_weight,
+    multinomial,
     validate_symbols,
 )
+from setshaping.source import literal_information_content
 
 
 class TestEnsembleValidation:
@@ -135,8 +136,13 @@ class TestInformationContent:
             information_content(ens, s, interpretation="typo")
 
     def test_string_probability(self):
+        # every string of a class is equally likely: the class weight over its size
         ens = SourceEnsemble((0.75, 0.25))
-        assert math.isclose(string_probability(ens, [0, 0, 1]), 0.75 * 0.75 * 0.25)
+        s = [0, 0, 1]
+        counts = composition_of(s, 2)
+        got = class_weight(ens.probabilities, counts) / multinomial(counts)
+        assert math.isclose(got, 0.75 * 0.75 * 0.25)
+        assert math.isclose(got, oracles.string_probability(ens.probabilities, s))
 
     @given(
         st.integers(min_value=2, max_value=6).flatmap(
