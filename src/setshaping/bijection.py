@@ -50,9 +50,10 @@ def _rank_within_class(symbols: Sequence[int], counts: Sequence[int]) -> int:
     size = multinomial(counts)
     rank = 0
     for s in symbols:
-        for v in range(s):
-            if remaining[v]:
-                rank += size * remaining[v] // m
+        if s:
+            # Each smaller symbol v leads size * remaining[v] // m strings,
+            # an exact integer, so their sum takes one division.
+            rank += size * sum(remaining[:s]) // m
         size = size * remaining[s] // m
         remaining[s] -= 1
         m -= 1

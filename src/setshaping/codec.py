@@ -10,7 +10,12 @@ gains of a fraction of a bit stay visible in actual compressed sizes.
 The coder itself is the classic two-register binary arithmetic coder with
 pending-bit underflow handling, on 32-bit register values and integer-only
 arithmetic, so encodings are identical on every platform.  Termination
-spends at most two bits plus byte padding.
+spends at most two bits plus byte padding.  The encoder collects each
+emitted bit with its pending bits as one string piece and packs them once.
+The decoder tracks d = code - low instead of code: renormalisation takes
+the same offset from code and low and doubles both, so d just gains one
+payload bit per shift, and the shifts of one symbol are counted from low
+and high alone and read from a small window over the payload at once.
 
 Container layout: a little-endian header (format version u8, alphabet size
 u16, symbol count u64, payload bit length u64) followed by the payload,
@@ -41,71 +46,9 @@ _QUARTER = _WHOLE >> 2
 _MASK = _WHOLE - 1
 # Model totals must stay below the quarter range or intervals can vanish.
 _MAX_TOTAL = _QUARTER
-
-
-class _BitWriter:
-    """Collects bits most-significant-first into bytes."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._fill = 0
-        self.bit_length = 0
-
-    def write(self, bit: int):
-        self._acc = (self._acc << 1) | bit
-        self._fill += 1
-        self.bit_length += 1
-        if self._fill == 8:
-            self._bytes.append(self._acc)
-            self._acc = 0
-            self._fill = 0
-
-    def getvalue(self) -> bytes:
-        if self._fill:
-            return bytes(self._bytes) + bytes([self._acc << (8 - self._fill)])
-        return bytes(self._bytes)
-
-
-class _BitReader:
-    """Yields payload bits most-significant-first, then zeros forever."""
-
-    def __init__(self, data: bytes, bit_length: int):
-        self._data = data
-        self._limit = bit_length
-        self._pos = 0
-
-    def read(self) -> int:
-        if self._pos >= self._limit:
-            return 0
-        byte = self._data[self._pos >> 3]
-        bit = (byte >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-
-class _AdaptiveModel:
-    """Add-1/2 symbol frequencies: freq[v] = 2*count[v] + 1, total = 2*m + a."""
-
-    def __init__(self, alphabet_size: int):
-        self.freq = [1] * alphabet_size
-        self.total = alphabet_size
-
-    def interval(self, symbol: int) -> tuple[int, int]:
-        low = sum(self.freq[:symbol])
-        return low, low + self.freq[symbol]
-
-    def find(self, value: int) -> tuple[int, int, int]:
-        low = 0
-        for symbol, f in enumerate(self.freq):
-            if value < low + f:
-                return symbol, low, low + f
-            low += f
-        raise CorruptStreamError("decoded value outside the model's range")
-
-    def update(self, symbol: int):
-        self.freq[symbol] += 2
-        self.total += 2
+_THREE_QUARTERS = 3 * _QUARTER
+# Payload bytes the decoder moves into its bit window at a time.
+_CHUNK = 8
 
 
 def _check_block(n: int, a: int):
@@ -120,33 +63,28 @@ def encode(symbols: Sequence[int], alphabet_size: int) -> bytes:
     arr = validate_symbols(symbols, alphabet_size)
     n = int(arr.size)
     _check_block(n, alphabet_size)
-    writer = _BitWriter()
+    pieces = []
     if n:
-        model = _AdaptiveModel(alphabet_size)
+        # Add-1/2 model: freq[v] = 2*count[v] + 1, total = 2*m + a.
+        freq = [1] * alphabet_size
+        total = alphabet_size
         low, high, pending = 0, _MASK, 0
-
-        def emit(bit: int):
-            nonlocal pending
-            writer.write(bit)
-            for _ in range(pending):
-                writer.write(bit ^ 1)
-            pending = 0
-
-        for s in arr:
-            s = int(s)
-            cum_low, cum_high = model.interval(s)
-            total = model.total
+        for s in arr.tolist():
+            cum_low = sum(freq[:s])
+            f = freq[s]
             span = high - low + 1
-            high = low + span * cum_high // total - 1
+            high = low + span * (cum_low + f) // total - 1
             low = low + span * cum_low // total
             while True:
                 if high < _HALF:
-                    emit(0)
+                    pieces.append("0" + "1" * pending)
+                    pending = 0
                 elif low >= _HALF:
-                    emit(1)
+                    pieces.append("1" + "0" * pending)
+                    pending = 0
                     low -= _HALF
                     high -= _HALF
-                elif low >= _QUARTER and high < 3 * _QUARTER:
+                elif low >= _QUARTER and high < _THREE_QUARTERS:
                     pending += 1
                     low -= _QUARTER
                     high -= _QUARTER
@@ -154,14 +92,17 @@ def encode(symbols: Sequence[int], alphabet_size: int) -> bytes:
                     break
                 low = low << 1
                 high = (high << 1) | 1
-            model.update(s)
+            freq[s] = f + 2
+            total += 2
         pending += 1
         if low < _QUARTER:
-            emit(0)
+            pieces.append("0" + "1" * pending)
         else:
-            emit(1)
-    payload = writer.getvalue()
-    header = HEADER.pack(FORMAT_VERSION, alphabet_size, n, writer.bit_length)
+            pieces.append("1" + "0" * pending)
+    bits = "".join(pieces)
+    padded = bits + "0" * (-len(bits) % 8)
+    payload = int(padded, 2).to_bytes(len(padded) // 8, "big") if padded else b""
+    header = HEADER.pack(FORMAT_VERSION, alphabet_size, n, len(bits))
     return header + payload
 
 
@@ -193,37 +134,58 @@ def decode(
     if count == 0:
         return ()
 
-    reader = _BitReader(payload, bit_length)
-    code = 0
-    for _ in range(_PRECISION):
-        code = (code << 1) | reader.read()
-    model = _AdaptiveModel(a)
+    # The padding is zero, so the payload bytes read as the payload bits
+    # followed by zeros; past its end, zero bytes are read forever.
+    window = int.from_bytes(payload[:_CHUNK].ljust(_CHUNK, b"\0"), "big")
+    pos = _CHUNK
+    fill = 8 * _CHUNK - _PRECISION
+    d = window >> fill  # code - low, with code the first 32 payload bits
+    window &= (1 << fill) - 1
+    freq = [1] * a
+    total = a
     low, high = 0, _MASK
     out = []
     for _ in range(count):
-        total = model.total
         span = high - low + 1
-        value = ((code - low + 1) * total - 1) // span
-        symbol, cum_low, cum_high = model.find(value)
-        high = low + span * cum_high // total - 1
-        low = low + span * cum_low // total
+        value = ((d + 1) * total - 1) // span
+        cum_low = 0
+        for symbol, f in enumerate(freq):
+            if value < cum_low + f:
+                break
+            cum_low += f
+        else:
+            raise CorruptStreamError("decoded value outside the model's range")
+        high = low + span * (cum_low + f) // total - 1
+        step = span * cum_low // total
+        low += step
+        d -= step
+        # Count the shifts; each appends one payload bit to d = code - low.
+        t = 0
         while True:
             if high < _HALF:
                 pass
             elif low >= _HALF:
                 low -= _HALF
                 high -= _HALF
-                code -= _HALF
-            elif low >= _QUARTER and high < 3 * _QUARTER:
+            elif low >= _QUARTER and high < _THREE_QUARTERS:
                 low -= _QUARTER
                 high -= _QUARTER
-                code -= _QUARTER
             else:
                 break
             low = low << 1
             high = (high << 1) | 1
-            code = (code << 1) | reader.read()
-        model.update(symbol)
+            t += 1
+        if t:
+            while fill < t:
+                chunk = payload[pos : pos + _CHUNK].ljust(_CHUNK, b"\0")
+                window = (window << 8 * _CHUNK) | int.from_bytes(chunk, "big")
+                pos += _CHUNK
+                fill += 8 * _CHUNK
+            fill -= t
+            d = (d << t) | (window >> fill)
+            window &= (1 << fill) - 1
+        freq[symbol] = f + 2
+        total += 2
         out.append(symbol)
     return tuple(out)
 

@@ -423,7 +423,7 @@ class ClassOrder:
 
     # -- iteration -------------------------------------------------------
 
-    def iter_group_classes(self, gi: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def _iter_group_classes(self, gi: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """(composition, class size) pairs of one tie group, lex ascending."""
         streams = [
             zip(_lex_vectors(part, self.alphabet_size), repeat(size))
@@ -434,7 +434,7 @@ class ClassOrder:
     def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every (composition, class size) pair in exact order."""
         for gi in range(len(self.group_products)):
-            yield from self.iter_group_classes(gi)
+            yield from self._iter_group_classes(gi)
 
 
 _ORDER_CACHE: dict[tuple[int, int], ClassOrder] = {}

@@ -1,14 +1,16 @@
 """Brute-force reference implementations used to pin expected test values.
 
-Everything here enumerates strings or compositions explicitly and sticks
-to the stdlib (sample_strings only calls the numpy Generator it is given),
-so it stays independent of the library code it is used to check.  It is
+Everything here enumerates strings or compositions explicitly, or codes
+one bit per call, and sticks to the stdlib (sample_strings only calls the
+numpy Generator it is given), so it stays independent of the library code
+it is used to check.  It is
 only usable at toy scales (a**n up to a few million strings; group_table
 handles any alphabet for n up to about 16).
 """
 
 import itertools
 import math
+import struct
 from fractions import Fraction
 
 
@@ -178,3 +180,175 @@ def sample_strings(rng, n, a, size):
     """Explicit uniform strings, a size x n array; the slow route that the
     composition sampler is checked against."""
     return rng.integers(0, a, size=(size, n), dtype="int64")
+
+
+# The container coder one bit and one model call at a time: the two-register
+# arithmetic coder of Witten, Neal and Cleary (CACM 30(6), 1987) with the
+# add-1/2 model, 32-bit registers and the package's container layout.
+_HEADER = struct.Struct("<BHQQ")
+_FORMAT_VERSION = 1
+_PRECISION = 32
+_WHOLE = 1 << _PRECISION
+_HALF = _WHOLE >> 1
+_QUARTER = _WHOLE >> 2
+_MASK = _WHOLE - 1
+
+
+class CorruptStreamError(Exception):
+    """Raised by reference_decode with the package's messages."""
+
+
+class _BitWriter:
+    def __init__(self):
+        self.bits = []
+
+    def write(self, bit):
+        self.bits.append(bit)
+
+    def getvalue(self):
+        bits = self.bits + [0] * (-len(self.bits) % 8)
+        return bytes(
+            int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)
+        )
+
+
+class _BitReader:
+    """Payload bits most-significant-first, then zeros forever."""
+
+    def __init__(self, data, bit_length):
+        self._data = data
+        self._limit = bit_length
+        self._pos = 0
+
+    def read(self):
+        if self._pos >= self._limit:
+            return 0
+        bit = (self._data[self._pos >> 3] >> (7 - (self._pos & 7))) & 1
+        self._pos += 1
+        return bit
+
+
+class _AdaptiveModel:
+    """Add-1/2 frequencies: freq[v] = 2*count[v] + 1, total = 2*m + a."""
+
+    def __init__(self, a):
+        self.freq = [1] * a
+        self.total = a
+
+    def interval(self, symbol):
+        low = sum(self.freq[:symbol])
+        return low, low + self.freq[symbol]
+
+    def find(self, value):
+        low = 0
+        for symbol, f in enumerate(self.freq):
+            if value < low + f:
+                return symbol, low, low + f
+            low += f
+        raise CorruptStreamError("decoded value outside the model's range")
+
+    def update(self, symbol):
+        self.freq[symbol] += 2
+        self.total += 2
+
+
+def reference_encode(symbols, a):
+    """Container bytes of a list of symbols in [0, a)."""
+    writer = _BitWriter()
+    if symbols:
+        model = _AdaptiveModel(a)
+        low, high, pending = 0, _MASK, 0
+
+        def emit(bit):
+            nonlocal pending
+            writer.write(bit)
+            for _ in range(pending):
+                writer.write(bit ^ 1)
+            pending = 0
+
+        for s in symbols:
+            cum_low, cum_high = model.interval(s)
+            total = model.total
+            span = high - low + 1
+            high = low + span * cum_high // total - 1
+            low = low + span * cum_low // total
+            while True:
+                if high < _HALF:
+                    emit(0)
+                elif low >= _HALF:
+                    emit(1)
+                    low -= _HALF
+                    high -= _HALF
+                elif low >= _QUARTER and high < 3 * _QUARTER:
+                    pending += 1
+                    low -= _QUARTER
+                    high -= _QUARTER
+                else:
+                    break
+                low = low << 1
+                high = (high << 1) | 1
+            model.update(s)
+        pending += 1
+        emit(0 if low < _QUARTER else 1)
+    header = _HEADER.pack(_FORMAT_VERSION, a, len(symbols), len(writer.bits))
+    return header + writer.getvalue()
+
+
+def reference_decode(blob, n=None, alphabet_size=None):
+    """Symbols of a container, or CorruptStreamError with the package's message."""
+    if len(blob) < _HEADER.size:
+        raise CorruptStreamError("container shorter than its header")
+    version, a, count, bit_length = _HEADER.unpack(blob[: _HEADER.size])
+    if version != _FORMAT_VERSION:
+        raise CorruptStreamError(f"unknown container version {version}")
+    if a < 1:
+        raise CorruptStreamError("header declares an empty alphabet")
+    if alphabet_size is not None and alphabet_size != a:
+        raise CorruptStreamError(
+            f"expected alphabet size {alphabet_size}, header says {a}"
+        )
+    if n is not None and n != count:
+        raise CorruptStreamError(f"expected {n} symbols, header says {count}")
+    if 2 * count + a >= _QUARTER:
+        raise CorruptStreamError("header declares a block the coder cannot produce")
+    payload = blob[_HEADER.size :]
+    if len(payload) != (bit_length + 7) // 8:
+        raise CorruptStreamError("payload length disagrees with the recorded bit count")
+    if bit_length % 8 and payload[-1] & ((1 << (8 - bit_length % 8)) - 1):
+        raise CorruptStreamError("nonzero padding in the final byte")
+    if count == 0:
+        return ()
+
+    reader = _BitReader(payload, bit_length)
+    code = 0
+    for _ in range(_PRECISION):
+        code = (code << 1) | reader.read()
+    model = _AdaptiveModel(a)
+    low, high = 0, _MASK
+    out = []
+    for _ in range(count):
+        total = model.total
+        span = high - low + 1
+        value = ((code - low + 1) * total - 1) // span
+        symbol, cum_low, cum_high = model.find(value)
+        high = low + span * cum_high // total - 1
+        low = low + span * cum_low // total
+        while True:
+            if high < _HALF:
+                pass
+            elif low >= _HALF:
+                low -= _HALF
+                high -= _HALF
+                code -= _HALF
+            elif low >= _QUARTER and high < 3 * _QUARTER:
+                low -= _QUARTER
+                high -= _QUARTER
+                code -= _QUARTER
+            else:
+                break
+            low = low << 1
+            high = (high << 1) | 1
+            code = (code << 1) | reader.read()
+        model.update(symbol)
+        out.append(symbol)
+    return tuple(out)

@@ -1,7 +1,9 @@
 """Adaptive arithmetic codec: losslessness, code lengths, wire format."""
 
+import hashlib
 import math
 import struct
+import time
 from itertools import product
 
 import numpy as np
@@ -157,6 +159,91 @@ class TestWireFormat:
             encode([0, 5], 3)
         with pytest.raises(ValueError):
             encode([0, 1], 0x10000 + 1)
+
+
+def _outcome(decoder, blob):
+    try:
+        return decoder(blob)
+    except Exception as error:  # compared by type name and message
+        return type(error).__name__, str(error)
+
+
+@st.composite
+def _strings(draw):
+    a = draw(st.sampled_from([1, 2, 3, 5, 10, 300]))
+    n = draw(st.integers(min_value=0, max_value=2000))
+    # a skewed symbol law as well as the uniform one
+    weights = draw(st.sampled_from([None, (8, 1), (1, 30, 1)]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if weights is None or a < len(weights):
+        return a, rng.integers(0, a, size=n).tolist()
+    p = np.array(weights + (1,) * (a - len(weights)), dtype=float)
+    return a, rng.choice(a, size=n, p=p / p.sum()).tolist()
+
+
+class TestReferenceCoder:
+    """The coder against the one-bit-per-call reference in tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_strings())
+    def test_containers_equal_the_reference(self, case):
+        a, s = case
+        blob = encode(s, a)
+        assert blob == oracles.reference_encode(s, a)
+        assert decode(blob) == tuple(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_strings(), st.data())
+    def test_corrupt_payloads_fail_like_the_reference(self, case, data):
+        a, s = case
+        blob = bytearray(encode(s, a))
+        payload_bits = 8 * (len(blob) - HEADER.size)
+        # only payload bits: a flipped header count can declare 2**29 symbols
+        if payload_bits:
+            flips = st.integers(min_value=0, max_value=payload_bits - 1)
+            for bit in data.draw(st.lists(flips, min_size=1, max_size=4)):
+                bit += 8 * HEADER.size
+                blob[bit >> 3] ^= 0x80 >> (bit & 7)
+        cut = data.draw(st.integers(min_value=HEADER.size, max_value=len(blob)))
+        for corrupt in (bytes(blob), bytes(blob[:cut])):
+            assert _outcome(decode, corrupt) == _outcome(oracles.reference_decode, corrupt)
+
+
+class TestGolden:
+    # sha256 over the containers of 200 seeded blocks of 101 symbols each,
+    # captured before the coder loops were rewritten
+    HASHES = {
+        3: "e337bcab6f92e90b761716cedb654e246edc91ad2125ffad8f04704f2e5e7ab6",
+        5: "923e3c24d0520dffac233778831f95918a2ce3c641c6efdd1903031d25d66034",
+    }
+
+    @pytest.mark.parametrize("a", sorted(HASHES))
+    def test_containers_unchanged(self, a):
+        blocks = np.random.default_rng(a).integers(0, a, size=(200, 101))
+        digest = hashlib.sha256()
+        for block in blocks:
+            blob = encode(block, a)
+            assert decode(blob) == tuple(block.tolist())
+            digest.update(blob)
+        assert digest.hexdigest() == self.HASHES[a]
+
+
+class TestScaling:
+    def test_decode_time_is_linear_in_length(self):
+        # a decoder that shifts the whole payload per symbol reads ~100x
+        rng = np.random.default_rng(11)
+        blobs = [encode(rng.integers(0, 3, size=n), 3) for n in (20_000, 200_000)]
+
+        def best_time(blob):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                decode(blob)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        short, long = (best_time(blob) for blob in blobs)
+        assert long <= 25 * short
 
 
 class TestShapingExperiment:

@@ -56,7 +56,7 @@ class TestCounting:
         assert comps == sorted(comps)
         order = ClassOrder(8, 5)
         for gi in range(len(order.group_products)):
-            vectors = [v for v, _ in order.iter_group_classes(gi)]
+            vectors = [v for v, _ in order._iter_group_classes(gi)]
             assert vectors == sorted(vectors)
 
     def test_multinomial_matches_factorials(self):
@@ -275,7 +275,7 @@ class TestClassOrder:
     def test_iter_group_classes_is_lex_within_group(self):
         order = ClassOrder(16, 5)
         gi = order.group_of((4, 4, 4, 4, 0))
-        got = list(order.iter_group_classes(gi))
+        got = list(order._iter_group_classes(gi))
         vectors = [v for v, _ in got]
         assert vectors == sorted(vectors)
         assert len(vectors) == order.group_class_totals[gi]
@@ -376,7 +376,7 @@ class TestGroupTableOracle:
         else:
             # a vectors of length a are too many to list; check each group's head
             for gi, (_, parts, _, _) in enumerate(table):
-                for vector, size in islice(order.iter_group_classes(gi), 3):
+                for vector, size in islice(order._iter_group_classes(gi), 3):
                     assert tuple(sorted(filter(None, vector), reverse=True)) in parts
                     assert size == oracles.class_size(vector)
 

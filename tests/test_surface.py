@@ -1,6 +1,10 @@
-"""The package's public names, and the independence of the test oracles."""
+"""The package's public names, its import cost, and the independence of
+the test oracles."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import setshaping
@@ -74,3 +78,20 @@ def test_oracles_import_nothing_from_the_package():
             modules.append("." * node.level + (node.module or ""))
     assert modules
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "setshaping"]
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special costs most of the import time; only float input to
+    # info_from_counts needs it
+    src = str(Path(setshaping.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, setshaping; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
