@@ -5,13 +5,16 @@ content-sorted order of inputs and outputs, the resulting lookup table, and
 why exactly half of all length-3 strings can never appear as images.
 """
 
+from itertools import islice
+
 from setshaping import (
     NotInImageError,
     ShapingParameters,
+    class_order,
     empirical_information_content,
     in_image,
+    multinomial,
     shape,
-    shaped_threshold,
     string_rank,
     string_unrank,
     unshape,
@@ -48,12 +51,15 @@ for r in range(a**n):
 
 # -- the boundary -------------------------------------------------------------
 
-boundary = shaped_threshold(a, n, k)
-print(f"\ncut after {boundary.target} strings of length {n + k}:")
-print(f"  whole classes admitted: {[c for c, _ in boundary.fully_included]}")
-print(f"  split class: {boundary.boundary_class}, first {boundary.strings_from_boundary} strings")
-print(f"  highest admitted content: {boundary.selection_max_info:.4f}")
-print(f"  lowest excluded content:  {boundary.complement_min_info:.4f}")
+order = class_order(n + k, a)
+target = a**n
+counts, offset = order.locate_string(target - 1)
+whole = islice(order.iter_classes(), order.classes_before(counts))
+print(f"\ncut after {target} strings of length {n + k}:")
+print(f"  whole classes admitted: {[c for c, _ in whole]}")
+print(f"  last admitted class: {counts}, {offset + 1} of its {multinomial(counts)} strings")
+print(f"  highest admitted content: {order.info_at(target - 1):.4f}")
+print(f"  lowest excluded content:  {order.info_at(target):.4f}")
 
 probe = [0, 1, 0]
 print(f"\n{''.join(map(str, probe))} in image: {in_image(probe, params)}")

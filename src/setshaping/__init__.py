@@ -10,13 +10,10 @@ arithmetic codec for measuring the transform's effect on compressed sizes.
 
 from .analyzer import (
     AverageReport,
-    SelectionBoundary,
     average_info_exact,
-    complement_min_info,
     rank_info_series,
     shaped_average_info,
     shaped_average_info_exact,
-    shaped_threshold,
 )
 from .bijection import (
     ShapingParameters,
@@ -38,9 +35,7 @@ from .compositions import (
     DEFAULT_COMPOSITION_CAP,
     ClassOrder,
     class_order,
-    class_weight,
     composition_count,
-    composition_info_bits,
     multinomial,
     order_product,
 )
@@ -86,16 +81,12 @@ __all__ = [
     "McEstimate",
     "NotInImageError",
     "ResourceLimitError",
-    "SelectionBoundary",
     "ShapingError",
     "ShapingParameters",
     "SourceEnsemble",
     "average_info_exact",
     "class_order",
-    "class_weight",
-    "complement_min_info",
     "composition_count",
-    "composition_info_bits",
     "composition_of",
     "decode",
     "empirical_information_content",
@@ -116,7 +107,6 @@ __all__ = [
     "shape",
     "shaped_average_info",
     "shaped_average_info_exact",
-    "shaped_threshold",
     "shaping_experiment",
     "string_rank",
     "string_unrank",

@@ -1,13 +1,16 @@
 """Exact mean information content, before and after shaping.
 
-A string's empirical information content depends only on its composition, so
-the mean over all a**n strings reduces to a weighted sum over composition
-classes, and the mean over the a**n lowest-content strings of length n+k
-reduces to whole tie groups of the exact class order plus one partially
-included group.  Every uniform mean and per-rank series reads that cut from
-ClassOrder.head: the first a**n strings of the length-n order (all of them)
-or of the length-(n+k) order (the shaped selection).  Non-uniform means walk
-the classes of the order instead.  Nothing here enumerates strings.
+The mean over all a**n strings needs no class order.  By linearity of
+expectation the empirical mean is n*log2(n) - sum_v E[c_v*log2(c_v)], and
+each count c_v is Binomial(n, p_v), so it is one exact binomial sum per
+distinct probability; the literal mean is n times the source entropy.
+
+A string's empirical information content depends only on its composition,
+so the mean over the a**n lowest-content strings of length n+k reduces to
+whole tie groups of the exact class order plus one partially included
+group.  The uniform shaped mean and both per-rank series read that cut from
+ClassOrder.head; the non-uniform shaped mean walks the classes of the two
+orders instead.  Nothing here enumerates strings.
 
 The selection cutoff slices the length-(n+k) order after exactly a**n
 strings.  When the cut lands inside a class, the selected members are the
@@ -19,28 +22,23 @@ set identical to the image of the shaping map.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .compositions import (
     DEFAULT_COMPOSITION_CAP,
     ClassOrder,
-    _log_probability,
+    check_composition_cap,
     class_order,
-    class_weight,
-    composition_info_bits,
-    multinomial,
 )
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
 # Largest a**n for which the per-rank series is materialized.
 DEFAULT_SERIES_LIMIT = 10**7
-# Largest class list a SelectionBoundary will hold.
-DEFAULT_BOUNDARY_CLASS_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -78,28 +76,6 @@ class AverageReport:
         }
 
 
-@dataclass(frozen=True)
-class SelectionBoundary:
-    """How the cutoff after a**n strings slices the length-(n+k) order.
-
-    fully_included lists (composition, class size) for every class whose
-    strings are all selected, in exact order.  boundary_class is the class
-    the cut splits, or None when the cut lands exactly on a class edge;
-    strings_from_boundary of its strings (the lexicographically first ones)
-    are selected.
-    """
-
-    alphabet_size: int
-    block_length: int
-    surplus: int
-    target: int
-    fully_included: tuple[tuple[tuple[int, ...], int], ...]
-    boundary_class: tuple[int, ...] | None
-    strings_from_boundary: int
-    selection_max_info: float
-    complement_min_info: float
-
-
 def _check_shaping(a: int, n: int, k: int) -> None:
     if a < 2:
         raise ValueError("shaping needs an alphabet of at least two symbols")
@@ -110,8 +86,27 @@ def _check_shaping(a: int, n: int, k: int) -> None:
 def _head_mean(order: ClassOrder, count: int) -> float:
     """Plain mean content of the first count strings of the order."""
     infos, taken = order.head(count)
-    terms = [float(strings) * float(info) for strings, info in zip(taken, infos)]
-    return math.fsum(terms) / float(count)
+    # Past 2**960 strings, scale the counts by an exact power of two so that
+    # strings*info stays in float range; binary scaling changes no bit of a
+    # mean that is finite without it.
+    scale = 1 << max(count.bit_length() - 960, 0)
+    terms = [strings / scale * float(info) for strings, info in zip(taken, infos)]
+    return math.fsum(terms) / (count / scale)
+
+
+def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> float:
+    """Natural log of the probability of one string with the given counts.
+
+    -inf when the string uses a zero-probability symbol.
+    """
+    log_p = 0.0
+    for p, c in zip(probabilities, counts):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return -math.inf
+        log_p += c * math.log(p)
+    return log_p
 
 
 def average_info_exact(
@@ -120,7 +115,15 @@ def average_info_exact(
     interpretation: str = "empirical",
     cap: int = DEFAULT_COMPOSITION_CAP,
 ) -> float:
-    """Mean information content of length-n strings under the source law."""
+    """Mean information content of length-n strings under the source law.
+
+    Empirical: n*log2(n) - sum_v E[c_v*log2(c_v)] with c_v ~ Binomial(n, p).
+    p is taken as an exact fraction P/D (1/a for a uniform source, else the
+    float's own binary fraction) and the binomial weights comb(n,c)*P**c*
+    Q**(n-c), Q = D-P, as exact integers, each divided by D**n once.
+    Symbols sharing a probability share one sum; zero-probability symbols
+    never occur and contribute nothing.
+    """
     if interpretation not in ("empirical", "literal"):
         raise ValueError(f"unknown interpretation {interpretation!r}")
     if n < 1:
@@ -130,25 +133,25 @@ def average_info_exact(
         return 0.0
     if interpretation == "literal" and ensemble.is_uniform:
         return n * math.log2(a)
-    order = class_order(n, a, cap)
-    if interpretation == "empirical" and ensemble.is_uniform:
-        return _head_mean(order, order.total_strings)
+    check_composition_cap(n, a, cap)
+    if interpretation == "literal":
+        return n * ensemble.entropy_bits()
 
+    if ensemble.is_uniform:
+        shares = {(1, a): a}
+    else:
+        probs = ensemble.probabilities
+        shares = Counter(p.as_integer_ratio() for p in probs if p > 0.0)
+    terms = [n * math.log2(n)]
+    for (num, den), m in shares.items():
+        rest, scale = den - num, den**n
+        # m times the weight of c, from c = n down: num > 0, so each step
+        # w[c-1] = w[c]*c*Q // ((n-c+1)*P) is exact.
+        weight = m * num**n
+        for c in range(n, 1, -1):
+            terms.append(-(weight / scale) * (c * math.log2(c)))
+            weight = weight * c * rest // ((n - c + 1) * num)
     # fsum is correctly rounded, so the order of the terms does not matter.
-    probs = ensemble.probabilities
-    log2p = [math.log2(p) if p > 0.0 else 0.0 for p in probs]
-    terms = []
-    for counts, _ in order.iter_classes():
-        weight = class_weight(probs, counts)
-        if weight == 0.0:
-            continue
-        if interpretation == "empirical":
-            value = composition_info_bits(counts)
-        else:
-            value = -math.fsum(
-                c * log2p[v] for v, c in enumerate(counts) if c
-            )
-        terms.append(weight * value)
     return math.fsum(terms)
 
 
@@ -226,56 +229,6 @@ def shaped_average_info(
             x_len -= take
             y_len -= take
     return math.fsum(terms)
-
-
-def shaped_threshold(
-    a: int,
-    n: int,
-    k: int,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-    class_limit: int = DEFAULT_BOUNDARY_CLASS_LIMIT,
-) -> SelectionBoundary:
-    """Locate the cutoff after a**n strings in the length-(n+k) order."""
-    _check_shaping(a, n, k)
-    order = class_order(n + k, a, cap)
-    target = a**n
-
-    counts, offset = order.locate_string(target - 1)
-    taken = offset + 1
-    if taken == multinomial(counts):
-        boundary = None
-        from_boundary = 0
-        full_classes = order.classes_before(counts) + 1
-    else:
-        boundary = counts
-        from_boundary = taken
-        full_classes = order.classes_before(counts)
-    if full_classes > class_limit:
-        raise ResourceLimitError(
-            f"cutoff keeps {full_classes} whole classes, "
-            f"beyond the materialization limit of {class_limit}"
-        )
-
-    return SelectionBoundary(
-        alphabet_size=a,
-        block_length=n,
-        surplus=k,
-        target=target,
-        fully_included=tuple(islice(order.iter_classes(), full_classes)),
-        boundary_class=boundary,
-        strings_from_boundary=from_boundary,
-        selection_max_info=order.info_at(target - 1),
-        complement_min_info=order.info_at(target),
-    )
-
-
-def complement_min_info(
-    a: int, n: int, k: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> float:
-    """Lowest content among length-(n+k) strings the selection leaves out."""
-    _check_shaping(a, n, k)
-    order = class_order(n + k, a, cap)
-    return order.info_at(a**n)
 
 
 def rank_info_series(

@@ -80,46 +80,6 @@ def order_product(counts: Sequence[int]) -> int:
     return result
 
 
-def composition_info_bits(counts: Sequence[int]) -> float:
-    """Empirical information content shared by every string in the class."""
-    n = sum(counts)
-    if n <= 0:
-        raise ValueError("composition must have positive total")
-    return n * math.log2(n) - math.fsum(c * math.log2(c) for c in counts if c > 1)
-
-
-def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> float:
-    """Natural log of the probability of one string with the given counts.
-
-    -inf when the string uses a zero-probability symbol.
-    """
-    log_p = 0.0
-    for p, c in zip(probabilities, counts):
-        if c == 0:
-            continue
-        if p == 0.0:
-            return -math.inf
-        log_p += c * math.log(p)
-    return log_p
-
-
-def class_weight(probabilities: Sequence[float], counts: Sequence[int]) -> float:
-    """Probability that an i.i.d. draw of sum(counts) symbols lands in the class."""
-    if len(probabilities) != len(counts):
-        raise ValueError("probability vector and composition sizes differ")
-    log_p = _log_probability(probabilities, counts)
-    if log_p == -math.inf:
-        return 0.0
-    try:
-        return float(multinomial(counts)) * math.exp(log_p)
-    except OverflowError:
-        # The class size is beyond float range: combine in log space.
-        log_scale = math.lgamma(sum(counts) + 1) - math.fsum(
-            math.lgamma(c + 1) for c in counts
-        )
-        return math.exp(log_scale + log_p)
-
-
 def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int]]:
     """One row per partition of n into at most a parts, partitions lex ascending.
 
@@ -295,7 +255,7 @@ class ClassOrder:
             starts.append(i)
             strings.append(size * count)
             classes.append(count)
-            # The terms of composition_info_bits, so the values are identical.
+            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
             infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
         starts.append(len(rows))
         self.group_products = products

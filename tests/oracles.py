@@ -133,6 +133,51 @@ def compositions(n, a):
         yield tuple(hi - lo - 1 for lo, hi in zip(edges, edges[1:]))
 
 
+def composition_info_bits(counts):
+    """Empirical information content shared by every string in the class."""
+    n = sum(counts)
+    if n <= 0:
+        raise ValueError("composition must have positive total")
+    return n * math.log2(n) - math.fsum(c * math.log2(c) for c in counts if c > 1)
+
+
+def class_weight(probs, counts):
+    """Probability that an i.i.d. draw of sum(counts) symbols lands in the class."""
+    if len(probs) != len(counts):
+        raise ValueError("probability vector and composition sizes differ")
+    log_p = 0.0
+    for p, c in zip(probs, counts):
+        if c == 0:
+            continue
+        if p == 0.0:
+            return 0.0
+        log_p += c * math.log(p)
+    try:
+        return float(class_size(counts)) * math.exp(log_p)
+    except OverflowError:
+        # The class size is beyond float range: combine in log space.
+        log_scale = math.lgamma(sum(counts) + 1) - math.fsum(
+            math.lgamma(c + 1) for c in counts
+        )
+        return math.exp(log_scale + log_p)
+
+
+def class_walk_mean(n, probs, interpretation="empirical"):
+    """Mean content of length-n strings: every class's weight times its content."""
+    log2p = [math.log2(p) if p > 0.0 else 0.0 for p in probs]
+    terms = []
+    for counts in compositions(n, len(probs)):
+        weight = class_weight(probs, counts)
+        if weight == 0.0:
+            continue
+        if interpretation == "empirical":
+            value = composition_info_bits(counts)
+        else:
+            value = -math.fsum(c * log2p[v] for v, c in enumerate(counts) if c)
+        terms.append(weight * value)
+    return math.fsum(terms)
+
+
 def sorted_compositions(n, a):
     """(composition, class size) pairs in the total order of string_sort_key."""
     comps = sorted(compositions(n, a), key=lambda c: (-order_product(c), c))

@@ -12,9 +12,8 @@ from setshaping import (
     ClassOrder,
     ResourceLimitError,
     class_order,
-    class_weight,
     composition_count,
-    composition_info_bits,
+    empirical_information_content,
     multinomial,
     order_product,
 )
@@ -90,11 +89,13 @@ class TestOrderKeys:
         assert order_product((5, 0)) == 5**5
 
     def test_info_bits_match_oracle_realization(self):
-        # realize a string with the given composition, delegate to the oracle
+        # realize a string with the given composition: the per-class and
+        # per-string references and the library's per-string content agree
         for counts in [(2, 1), (3, 3), (0, 4), (1, 1, 1), (5, 2, 0, 1)]:
             s = [v for v, c in enumerate(counts) for _ in range(c)]
-            got = composition_info_bits(counts)
+            got = oracles.composition_info_bits(counts)
             assert math.isclose(got, oracles.empirical_info(s, len(counts)), abs_tol=1e-12)
+            assert math.isclose(got, empirical_information_content(s, len(counts)), abs_tol=1e-12)
 
     def test_product_order_is_info_order(self):
         # larger product means lower information content, exactly
@@ -103,7 +104,7 @@ class TestOrderKeys:
         for c1 in comps[::7]:
             for c2 in comps[::5]:
                 p1, p2 = order_product(c1), order_product(c2)
-                i1, i2 = composition_info_bits(c1), composition_info_bits(c2)
+                i1, i2 = oracles.composition_info_bits(c1), oracles.composition_info_bits(c2)
                 if p1 > p2:
                     assert i1 < i2 + 1e-9
                 elif p1 < p2:
@@ -146,31 +147,31 @@ class TestClassWeight:
         n, a = 5, 3
         probs = [1.0 / a] * a
         for counts in oracles.compositions(n, a):
-            got = class_weight(probs, counts)
+            got = oracles.class_weight(probs, counts)
             assert math.isclose(got, multinomial(counts) / a**n, rel_tol=1e-12)
 
     def test_weights_sum_to_one(self):
         for probs in [(0.5, 0.5), (0.7, 0.3), (0.5, 0.25, 0.25), (0.9, 0.05, 0.05)]:
             n = 8
-            total = math.fsum(class_weight(probs, c) for c in oracles.compositions(n, len(probs)))
+            total = math.fsum(oracles.class_weight(probs, c) for c in oracles.compositions(n, len(probs)))
             assert math.isclose(total, 1.0, abs_tol=1e-12)
 
     def test_weight_matches_exact_fraction(self):
         probs = (0.5, 0.25, 0.25)
         counts = (2, 1, 1)
         exact = multinomial(counts) * Fraction(1, 2) ** 2 * Fraction(1, 4) ** 2
-        assert math.isclose(class_weight(probs, counts), float(exact), rel_tol=1e-12)
+        assert math.isclose(oracles.class_weight(probs, counts), float(exact), rel_tol=1e-12)
 
     def test_class_size_beyond_float_range(self):
         counts = (550, 550)
         assert multinomial(counts) > 2**1024
         exact = Fraction(multinomial(counts), 2**1100)
-        assert math.isclose(class_weight((0.5, 0.5), counts), float(exact), rel_tol=1e-9)
+        assert math.isclose(oracles.class_weight((0.5, 0.5), counts), float(exact), rel_tol=1e-9)
 
     def test_zero_probability_symbol(self):
         probs = (1.0, 0.0)
-        assert class_weight(probs, (3, 0)) == 1.0
-        assert class_weight(probs, (2, 1)) == 0.0
+        assert oracles.class_weight(probs, (3, 0)) == 1.0
+        assert oracles.class_weight(probs, (2, 1)) == 0.0
 
 
 class TestSortedOrder:
@@ -190,7 +191,7 @@ class TestSortedOrder:
             assert size == multinomial(counts)
 
     def test_info_is_nondecreasing_along_order(self):
-        infos = [composition_info_bits(c) for c, _ in ClassOrder(7, 3).iter_classes()]
+        infos = [oracles.composition_info_bits(c) for c, _ in ClassOrder(7, 3).iter_classes()]
         assert all(x <= y + 1e-12 for x, y in zip(infos, infos[1:]))
 
 
@@ -360,8 +361,8 @@ class TestGroupTableOracle:
         assert order.group_class_totals == [g[3] for g in table]
         assert order.num_compositions == sum(g[3] for g in table)
         assert order.num_compositions == composition_count(n, a)
-        # bit for bit: the value composition_info_bits gives the first partition
-        assert order.group_infos.tolist() == [composition_info_bits(g[1][0]) for g in table]
+        # bit for bit: the value oracles.composition_info_bits gives the first partition
+        assert order.group_infos.tolist() == [oracles.composition_info_bits(g[1][0]) for g in table]
         if order.num_compositions <= 10**4:
             expected = oracles.sorted_compositions(n, a)
             assert list(order.iter_classes()) == expected

@@ -1,10 +1,12 @@
-"""Exact mean information content, cut boundaries, and rank series."""
+"""Exact mean information content, the shaping cut, and rank series."""
 
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from setshaping import (
@@ -12,12 +14,14 @@ from setshaping import (
     ResourceLimitError,
     SourceEnsemble,
     average_info_exact,
-    complement_min_info,
+    class_order,
+    multinomial,
     rank_info_series,
     shaped_average_info,
     shaped_average_info_exact,
-    shaped_threshold,
 )
+from setshaping import compositions
+from setshaping.analyzer import _head_mean
 
 # brute-force means, frozen from full string enumeration (n = a, k = 1)
 UNIFORM_GRID = {
@@ -86,6 +90,37 @@ class TestAverageInfoExact:
             got = average_info_exact(SourceEnsemble.uniform(a), 100)
             assert math.isclose(got, value, abs_tol=1e-9)
 
+    def test_builds_no_class_order(self, monkeypatch):
+        monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
+        for probs in ((0.2,) * 5, (0.1, 0.2, 0.3, 0.4)):
+            for interpretation in ("empirical", "literal"):
+                average_info_exact(SourceEnsemble(probs), 60, interpretation)
+        assert compositions._ORDER_CACHE == {}
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4).filter(any),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from(["empirical", "literal"]),
+    )
+    def test_matches_class_walk(self, weights, n, interpretation):
+        # integer weights give probability vectors with exact 0.0 and 1.0 entries
+        probs = tuple(w / sum(weights) for w in weights)
+        got = average_info_exact(SourceEnsemble(probs), n, interpretation)
+        want = oracles.class_walk_mean(n, probs, interpretation)
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+    def test_matches_class_walk_at_length_80(self):
+        probs = (0.1, 0.2, 0.3, 0.4)
+        got = average_info_exact(SourceEnsemble(probs), 80)
+        assert math.isclose(got, oracles.class_walk_mean(80, probs), rel_tol=1e-12)
+
+    def test_beyond_float_range(self):
+        # 2**1101 strings: the binomial weights are exact integers, so the
+        # mean stays finite where a**n does not fit a float
+        got = average_info_exact(SourceEnsemble.uniform(2), 1101)
+        assert 1100 < got < 1101
+
 
 class TestShapedAverage:
     @pytest.mark.parametrize("a", sorted(UNIFORM_GRID))
@@ -119,6 +154,21 @@ class TestShapedAverage:
         got = shaped_average_info(ens, 4, 1, interpretation="literal")
         assert math.isclose(got, 5 * math.log2(3), abs_tol=1e-12)
 
+    def test_beyond_float_range(self):
+        # 2**1100 selected strings of 2**1101: the count is past float range
+        got = shaped_average_info_exact(2, 1100, 1)
+        assert math.isfinite(got)
+        assert got <= average_info_exact(SourceEnsemble.uniform(2), 1101)
+
+    def test_scaling_changes_no_bit(self):
+        # 2**1000 strings get scaled by 2**-40; every product stays in float
+        # range unscaled too, and the two means agree bit for bit
+        order = class_order(1001, 2)
+        infos, taken = order.head(2**1000)
+        plain = math.fsum([float(s) * float(i) for s, i in zip(taken, infos)])
+        assert math.isfinite(plain)
+        assert _head_mean(order, 2**1000) == plain / float(2**1000)
+
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 0)])
     def test_shape_parameters_validated_for_every_source(self, n, k):
         for ens in (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2))):
@@ -128,32 +178,38 @@ class TestShapedAverage:
 
 
 class TestSelectionBoundary:
+    """The cut after a**n strings of the length-(n+k) order, read off ClassOrder."""
+
+    CASES = [(2, 3, 1), (2, 4, 2), (3, 2, 1), (3, 4, 1), (4, 2, 1)]
+
     def test_split_class_case(self):
-        b = shaped_threshold(2, 2, 1)
-        assert b.target == 4
-        assert b.boundary_class == (1, 2)
-        assert b.strings_from_boundary == 2
-        included = [c for c, _ in b.fully_included]
-        assert included == [(0, 3), (3, 0)]
-        assert math.isclose(b.selection_max_info, 3 * math.log2(3) - 2, abs_tol=1e-12)
-        assert math.isclose(b.complement_min_info, 3 * math.log2(3) - 2, abs_tol=1e-12)
+        order = class_order(3, 2)
+        counts, offset = order.locate_string(2**2 - 1)
+        assert counts == (1, 2)
+        assert offset + 1 == 2 < multinomial(counts)
+        whole = islice(order.iter_classes(), order.classes_before(counts))
+        assert [c for c, _ in whole] == [(0, 3), (3, 0)]
+        assert math.isclose(order.info_at(3), 3 * math.log2(3) - 2, abs_tol=1e-12)
+        assert math.isclose(order.info_at(4), 3 * math.log2(3) - 2, abs_tol=1e-12)
 
     def test_clean_cut_case(self):
-        b = shaped_threshold(3, 3, 1)
-        assert b.boundary_class is None
-        assert b.strings_from_boundary == 0
-        assert sum(size for _, size in b.fully_included) == 27
+        order = class_order(4, 3)
+        counts, offset = order.locate_string(3**3 - 1)
+        assert offset + 1 == multinomial(counts)
+        whole = islice(order.iter_classes(), order.classes_before(counts) + 1)
+        assert sum(size for _, size in whole) == 27
 
     def test_selected_counts_add_up(self):
-        for a, n, k in [(2, 3, 1), (2, 4, 2), (3, 2, 1), (3, 4, 1), (4, 2, 1)]:
-            b = shaped_threshold(a, n, k)
-            total = sum(size for _, size in b.fully_included) + b.strings_from_boundary
-            assert total == a**n
+        for a, n, k in self.CASES:
+            order = class_order(n + k, a)
+            counts, offset = order.locate_string(a**n - 1)
+            whole = islice(order.iter_classes(), order.classes_before(counts))
+            assert sum(size for _, size in whole) + offset + 1 == a**n
 
     def test_max_selected_never_exceeds_min_complement(self):
-        for a, n, k in [(2, 3, 1), (2, 4, 2), (3, 2, 1), (3, 4, 1), (4, 2, 1)]:
-            b = shaped_threshold(a, n, k)
-            assert b.selection_max_info <= b.complement_min_info + 1e-12
+        for a, n, k in self.CASES:
+            order = class_order(n + k, a)
+            assert order.info_at(a**n - 1) <= order.info_at(a**n) + 1e-12
 
     def test_complement_min_matches_brute_force(self):
         cases = {
@@ -163,7 +219,7 @@ class TestSelectionBoundary:
             (2, 4, 2): 5.5097750043269365,
         }
         for (a, n, k), want in cases.items():
-            assert math.isclose(complement_min_info(a, n, k), want, abs_tol=1e-12)
+            assert math.isclose(class_order(n + k, a).info_at(a**n), want, abs_tol=1e-12)
             assert math.isclose(oracles.complement_min_info(n, a, k), want, abs_tol=1e-12)
 
 
@@ -209,7 +265,14 @@ class TestAverageReport:
 
 
 class TestGolden:
-    """Exact values pinned to their reprs and array hashes, bit for bit."""
+    """Exact values pinned to their reprs and array hashes.
+
+    Shaped means and series are pinned bit for bit.  The average_info_exact
+    reprs are those of the former class-walk summation, kept as reference
+    values; the binomial sum agrees with them to a relative 1e-12 (measured:
+    at most 1 ulp on UNIFORM, at most 10 ulps or 1.3e-15 relative on
+    SOURCES).
+    """
 
     # (a, n) -> (average_info_exact, shaped_average_info_exact at k=1)
     UNIFORM = {
@@ -251,11 +314,10 @@ class TestGolden:
 
     @pytest.mark.parametrize("a, n", sorted(UNIFORM))
     def test_uniform_means(self, a, n):
-        got = (
-            repr(average_info_exact(SourceEnsemble.uniform(a), n)),
-            repr(shaped_average_info_exact(a, n, 1)),
-        )
-        assert got == self.UNIFORM[a, n]
+        source, shaped = self.UNIFORM[a, n]
+        got = average_info_exact(SourceEnsemble.uniform(a), n)
+        assert math.isclose(got, float(source), rel_tol=1e-12)
+        assert repr(shaped_average_info_exact(a, n, 1)) == shaped
 
     @pytest.mark.parametrize("a, n, k", sorted(SERIES))
     def test_rank_series(self, a, n, k):
@@ -267,8 +329,7 @@ class TestGolden:
     @pytest.mark.parametrize("probs, interpretation", sorted(SOURCES))
     def test_source_means(self, probs, interpretation):
         ens = SourceEnsemble(probs)
-        got = (
-            repr(average_info_exact(ens, 9, interpretation)),
-            repr(shaped_average_info(ens, 6, 2, interpretation)),
-        )
-        assert got == self.SOURCES[probs, interpretation]
+        source, shaped = self.SOURCES[probs, interpretation]
+        got = average_info_exact(ens, 9, interpretation)
+        assert math.isclose(got, float(source), rel_tol=1e-12)
+        assert repr(shaped_average_info(ens, 6, 2, interpretation)) == shaped

@@ -15,7 +15,6 @@ from setshaping import (
     ResourceLimitError,
     SourceEnsemble,
     average_info_exact,
-    class_weight,
     estimate_average_info,
     estimate_shaped_average_info,
     estimate_table,
@@ -77,7 +76,7 @@ class TestSampling:
         n, a, m = 5, 3, 10**6
         comps = list(oracles.compositions(n, a))
         index = {c: i for i, c in enumerate(comps)}
-        probs = np.array([class_weight([1 / a] * a, c) for c in comps])
+        probs = np.array([oracles.class_weight([1 / a] * a, c) for c in comps])
         counts = sample_compositions(shard_generator(42, 0), n, a, size=m)
         observed = np.zeros(len(comps))
         for row in counts:
@@ -90,7 +89,7 @@ class TestSampling:
         strings = oracles.sample_strings(shard_generator(9, 0), n, a, size=m)
         assert strings.shape == (m, n)
         comps = list(oracles.compositions(n, a))
-        probs = np.array([class_weight([1 / a] * a, c) for c in comps])
+        probs = np.array([oracles.class_weight([1 / a] * a, c) for c in comps])
         ones = strings.sum(axis=1)
         observed = np.array([(ones == c[1]).sum() for c in comps])
         result = stats.chisquare(observed, probs * m)

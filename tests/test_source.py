@@ -13,10 +13,9 @@ from setshaping import (
     composition_of,
     empirical_information_content,
     information_content,
-    class_weight,
-    multinomial,
     validate_symbols,
 )
+from setshaping.analyzer import _log_probability
 from setshaping.source import literal_information_content
 
 
@@ -136,11 +135,11 @@ class TestInformationContent:
             information_content(ens, s, interpretation="typo")
 
     def test_string_probability(self):
-        # every string of a class is equally likely: the class weight over its size
+        # every string of a class is equally likely: one log-probability per class
         ens = SourceEnsemble((0.75, 0.25))
         s = [0, 0, 1]
         counts = composition_of(s, 2)
-        got = class_weight(ens.probabilities, counts) / multinomial(counts)
+        got = math.exp(_log_probability(ens.probabilities, counts))
         assert math.isclose(got, 0.75 * 0.75 * 0.25)
         assert math.isclose(got, oracles.string_probability(ens.probabilities, s))
 

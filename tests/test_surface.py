@@ -22,16 +22,12 @@ PUBLIC = [
     "McEstimate",
     "NotInImageError",
     "ResourceLimitError",
-    "SelectionBoundary",
     "ShapingError",
     "ShapingParameters",
     "SourceEnsemble",
     "average_info_exact",
     "class_order",
-    "class_weight",
-    "complement_min_info",
     "composition_count",
-    "composition_info_bits",
     "composition_of",
     "decode",
     "empirical_information_content",
@@ -51,7 +47,6 @@ PUBLIC = [
     "shape",
     "shaped_average_info",
     "shaped_average_info_exact",
-    "shaped_threshold",
     "shaping_experiment",
     "shard_generator",
     "string_rank",
