@@ -28,17 +28,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import (
-    DEFAULT_COMPOSITION_CAP,
-    ClassOrder,
-    check_composition_cap,
-    class_order,
-)
+from .compositions import ClassOrder, check_composition_cap, class_order
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
 # Largest a**n for which the per-rank series is materialized.
-DEFAULT_SERIES_LIMIT = 10**7
+SERIES_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -110,10 +105,7 @@ def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> f
 
 
 def average_info_exact(
-    ensemble: SourceEnsemble,
-    n: int,
-    interpretation: str = "empirical",
-    cap: int = DEFAULT_COMPOSITION_CAP,
+    ensemble: SourceEnsemble, n: int, interpretation: str = "empirical"
 ) -> float:
     """Mean information content of length-n strings under the source law.
 
@@ -133,7 +125,7 @@ def average_info_exact(
         return 0.0
     if interpretation == "literal" and ensemble.is_uniform:
         return n * math.log2(a)
-    check_composition_cap(n, a, cap)
+    check_composition_cap(n, a)
     if interpretation == "literal":
         return n * ensemble.entropy_bits()
 
@@ -155,24 +147,18 @@ def average_info_exact(
     return math.fsum(terms)
 
 
-def shaped_average_info_exact(
-    a: int, n: int, k: int, cap: int = DEFAULT_COMPOSITION_CAP
-) -> float:
+def shaped_average_info_exact(a: int, n: int, k: int) -> float:
     """Mean content of the a**n lowest-content strings of length n+k.
 
     Uniform sources only: every selected string carries weight a**-n, so the
     mean is a plain average and whole tie groups contribute strings*info.
     """
     _check_shaping(a, n, k)
-    return _head_mean(class_order(n + k, a, cap), a**n)
+    return _head_mean(class_order(n + k, a), a**n)
 
 
 def shaped_average_info(
-    ensemble: SourceEnsemble,
-    n: int,
-    k: int,
-    interpretation: str = "empirical",
-    cap: int = DEFAULT_COMPOSITION_CAP,
+    ensemble: SourceEnsemble, n: int, k: int, interpretation: str = "empirical"
 ) -> float:
     """Mean content of shaped outputs when inputs follow the source law.
 
@@ -188,15 +174,15 @@ def shaped_average_info(
     a = ensemble.alphabet_size
     _check_shaping(a, n, k)
     if ensemble.is_uniform and interpretation == "empirical":
-        return shaped_average_info_exact(a, n, k, cap)
+        return shaped_average_info_exact(a, n, k)
 
-    order_x = class_order(n, a, cap)
-    order_y = class_order(n + k, a, cap)
+    order_x = class_order(n, a)
+    order_y = class_order(n + k, a)
     probs = ensemble.probabilities
 
     def x_runs() -> Iterator[tuple[int, float]]:
         for counts, size in order_x.iter_classes():
-            yield size, math.exp(_log_probability(probs, counts))
+            yield size, _log_probability(probs, counts)
 
     def y_runs() -> Iterator[tuple[int, float]]:
         if interpretation == "empirical":
@@ -215,29 +201,30 @@ def shaped_average_info(
                     value -= c * math.log2(p)
                 yield size, value
 
+    ln2 = math.log(2.0)
     terms = []
     ys = y_runs()
     y_len, y_info = next(ys)
-    for x_len, x_p in x_runs():
+    for x_len, log_p in x_runs():
         while x_len:
             if y_len == 0:
                 y_len, y_info = next(ys)
                 continue
             take = x_len if x_len <= y_len else y_len
-            if x_p != 0.0:
-                terms.append(float(take) * x_p * y_info)
+            # Past 2**960 strings, move 2**s from the count into the
+            # probability's exponent: the count stays in float range and the
+            # probability out of the subnormals.  With s = 0 the factors are
+            # float(take) and exp(log_p).
+            s = max(take.bit_length() - 960, 0)
+            weight = math.exp(log_p + s * ln2)
+            if weight != 0.0:
+                terms.append(take / (1 << s) * weight * y_info)
             x_len -= take
             y_len -= take
     return math.fsum(terms)
 
 
-def rank_info_series(
-    a: int,
-    n: int,
-    k: int,
-    limit: int = DEFAULT_SERIES_LIMIT,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> tuple[np.ndarray, np.ndarray]:
+def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Content of the rank-r string and of its shaped image, for every r.
 
     Returns two float arrays of length a**n, both non-decreasing: the sorted
@@ -246,13 +233,13 @@ def rank_info_series(
     """
     _check_shaping(a, n, k)
     total = a**n
-    if total > limit:
+    if total > SERIES_LIMIT:
         raise ResourceLimitError(
-            f"{a}**{n} = {total} ranks exceed the series limit of {limit}"
+            f"{a}**{n} = {total} ranks exceed the series limit of {SERIES_LIMIT}"
         )
 
     def series(length: int) -> np.ndarray:
-        infos, taken = class_order(length, a, cap).head(total)
+        infos, taken = class_order(length, a).head(total)
         return np.repeat(infos, np.array(taken, dtype=np.int64))
 
     return series(n), series(n + k)

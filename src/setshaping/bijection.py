@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import DEFAULT_COMPOSITION_CAP, class_order, multinomial
+from .compositions import class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
 from .source import validate_symbols
 
@@ -85,43 +85,32 @@ def _unrank_within_class(offset: int, counts: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def string_rank(
-    symbols: Sequence[int],
-    alphabet_size: int,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> int:
+def string_rank(symbols: Sequence[int], alphabet_size: int) -> int:
     """Exact position of the string in the order over its own length."""
     arr = validate_symbols(symbols, alphabet_size)
     if arr.size == 0:
         raise ValueError("a string must be nonempty")
-    return _rank_valid(arr, alphabet_size, cap)
+    return _rank_valid(arr, alphabet_size)
 
 
-def _rank_valid(arr: np.ndarray, alphabet_size: int, cap: int) -> int:
+def _rank_valid(arr: np.ndarray, alphabet_size: int) -> int:
     """string_rank of a nonempty array that validate_symbols accepted."""
-    order = class_order(int(arr.size), alphabet_size, cap)
+    order = class_order(int(arr.size), alphabet_size)
     counts = tuple(int(c) for c in np.bincount(arr, minlength=alphabet_size))
     return order.strings_before_class(counts) + _rank_within_class(arr.tolist(), counts)
 
 
-def _block_rank(
-    symbols: Sequence[int], params: ShapingParameters, length: int, cap: int
-) -> int:
+def _block_rank(symbols: Sequence[int], params: ShapingParameters, length: int) -> int:
     """Rank of a block that must hold exactly length symbols of the alphabet."""
     arr = validate_symbols(symbols, params.alphabet_size)
     if arr.size != length:
         raise BlockLengthError(f"expected a block of length {length}, got {arr.size}")
-    return _rank_valid(arr, params.alphabet_size, cap)
+    return _rank_valid(arr, params.alphabet_size)
 
 
-def string_unrank(
-    rank: int,
-    n: int,
-    alphabet_size: int,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> tuple[int, ...]:
+def string_unrank(rank: int, n: int, alphabet_size: int) -> tuple[int, ...]:
     """The rank-th string of length n; inverse of string_rank."""
-    order = class_order(n, alphabet_size, cap)
+    order = class_order(n, alphabet_size)
     if not 0 <= rank < order.total_strings:
         raise ValueError(
             f"rank {rank} out of range for {alphabet_size}**{n} strings"
@@ -130,36 +119,24 @@ def string_unrank(
     return _unrank_within_class(offset, counts)
 
 
-def shape(
-    symbols: Sequence[int],
-    params: ShapingParameters,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> tuple[int, ...]:
+def shape(symbols: Sequence[int], params: ShapingParameters) -> tuple[int, ...]:
     """Map a length-n string to its length n+k image of equal rank."""
-    rank = _block_rank(symbols, params, params.n, cap)
-    return string_unrank(rank, params.output_length, params.alphabet_size, cap)
+    rank = _block_rank(symbols, params, params.n)
+    return string_unrank(rank, params.output_length, params.alphabet_size)
 
 
-def unshape(
-    symbols: Sequence[int],
-    params: ShapingParameters,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> tuple[int, ...]:
+def unshape(symbols: Sequence[int], params: ShapingParameters) -> tuple[int, ...]:
     """Invert shape; raises NotInImageError off the image of the map."""
-    rank = _block_rank(symbols, params, params.output_length, cap)
+    rank = _block_rank(symbols, params, params.output_length)
     limit = params.alphabet_size**params.n
     if rank >= limit:
         raise NotInImageError(
             f"rank {rank} exceeds the {limit} images of length-{params.n} strings"
         )
-    return string_unrank(rank, params.n, params.alphabet_size, cap)
+    return string_unrank(rank, params.n, params.alphabet_size)
 
 
-def in_image(
-    symbols: Sequence[int],
-    params: ShapingParameters,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> bool:
+def in_image(symbols: Sequence[int], params: ShapingParameters) -> bool:
     """Whether a length n+k string is the image of some length-n string."""
-    rank = _block_rank(symbols, params, params.output_length, cap)
+    rank = _block_rank(symbols, params, params.output_length)
     return rank < params.alphabet_size**params.n

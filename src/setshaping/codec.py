@@ -149,12 +149,11 @@ def decode(
         span = high - low + 1
         value = ((d + 1) * total - 1) // span
         cum_low = 0
+        # code - low = d < span, so value < total and the loop always breaks.
         for symbol, f in enumerate(freq):
             if value < cum_low + f:
                 break
             cum_low += f
-        else:
-            raise CorruptStreamError("decoded value outside the model's range")
         high = low + span * (cum_low + f) // total - 1
         step = span * cum_low // total
         low += step

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Refuse exact enumeration beyond this many composition classes by default.
+# The composition cap: the exact layer refuses more composition classes than this.
 DEFAULT_COMPOSITION_CAP = 10**8
 
 
@@ -48,15 +48,17 @@ def composition_count(n: int, a: int) -> int:
     return math.comb(n + a - 1, a - 1)
 
 
-def check_composition_cap(n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP) -> int:
-    """Return composition_count(n, a), raising ResourceLimitError above cap."""
+def check_composition_cap(n: int, a: int) -> None:
+    """Raise ResourceLimitError if composition_count(n, a) exceeds the cap.
+
+    The cap is DEFAULT_COMPOSITION_CAP, read when this is called.
+    """
     count = composition_count(n, a)
-    if count > cap:
+    if count > DEFAULT_COMPOSITION_CAP:
         raise ResourceLimitError(
             f"{count} composition classes for n={n}, a={a} "
-            f"exceeds the cap of {cap}"
+            f"exceeds the cap of {DEFAULT_COMPOSITION_CAP}"
         )
-    return count
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -232,10 +234,10 @@ class ClassOrder:
     list.
     """
 
-    def __init__(self, n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP):
+    def __init__(self, n: int, a: int):
         if n < 1 or a < 1:
             raise ValueError("need n >= 1 and a >= 1")
-        check_composition_cap(n, a, cap)
+        check_composition_cap(n, a)
         self.n = n
         self.alphabet_size = a
         self.total_strings = a**n
@@ -401,13 +403,12 @@ _ORDER_CACHE: dict[tuple[int, int], ClassOrder] = {}
 _ORDER_LOCK = threading.Lock()
 
 
-def class_order(n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP) -> ClassOrder:
+def class_order(n: int, a: int) -> ClassOrder:
     """Shared ClassOrder for (n, a); builds are serialized and idempotent.
 
-    The cap is checked on every call, so a cached order is refused to a
-    caller with a lower cap just as a build would be.
+    The composition cap is checked when the order is built, so a cached
+    order has already passed it.
     """
-    check_composition_cap(n, a, cap)
     key = (n, a)
     order = _ORDER_CACHE.get(key)
     if order is not None:
@@ -415,7 +416,7 @@ def class_order(n: int, a: int, cap: int = DEFAULT_COMPOSITION_CAP) -> ClassOrde
     with _ORDER_LOCK:
         order = _ORDER_CACHE.get(key)
         if order is None:
-            order = ClassOrder(n, a, cap)
+            order = ClassOrder(n, a)
             _ORDER_CACHE[key] = order
     return order
 

@@ -6,7 +6,7 @@ class ShapingError(Exception):
 
 
 class ResourceLimitError(ShapingError):
-    """A computation would exceed the configured enumeration cap."""
+    """A computation would exceed the composition cap or the series limit."""
 
 
 class NotInImageError(ShapingError):

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import AverageReport, average_info_exact, shaped_average_info_exact
-from .compositions import DEFAULT_COMPOSITION_CAP, composition_count, order_product
-from .errors import DegenerateSampleError
+from .compositions import order_product
+from .errors import DegenerateSampleError, ResourceLimitError
 from .source import SourceEnsemble
 
 SHARD_SIZE = 1 << 16
@@ -223,45 +223,43 @@ def estimate_shaped_average_info(config: McConfig) -> McEstimate:
 
 
 def estimate_table(
-    configs: list[McConfig],
-    method: str = "auto",
-    cap: int = DEFAULT_COMPOSITION_CAP,
+    configs: list[McConfig], method: str = "auto"
 ) -> list[AverageReport]:
-    """One AverageReport per config: exact where enumerable, sampled otherwise.
+    """One AverageReport per config: exact where the exact layer admits it.
 
-    method "exact" forces enumeration (resource error past the cap), "mc"
-    forces sampling, "auto" picks exact whenever the composition counts of
-    both lengths fit the cap.
+    method "exact" computes every row exactly and lets the exact layer's
+    ResourceLimitError through, "mc" samples every row, and "auto" tries
+    the exact row and samples it when the exact layer refuses it.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
     reports = []
     for config in configs:
         a, n, k = config.alphabet_size, config.n, config.k
-        enumerable = (
-            composition_count(n, a) <= cap and composition_count(n + k, a) <= cap
+        if method != "mc":
+            try:
+                source = average_info_exact(SourceEnsemble.uniform(a), n)
+                shaped = shaped_average_info_exact(a, n, k)
+            except ResourceLimitError:
+                if method == "exact":
+                    raise
+            else:
+                reports.append(AverageReport(a, n, k, source, shaped, method="exact"))
+                continue
+        est_x = estimate_average_info(config)
+        est_y = estimate_shaped_average_info(config)
+        reports.append(
+            AverageReport(
+                a,
+                n,
+                k,
+                est_x.mean,
+                est_y.mean,
+                method="monte-carlo",
+                source_stderr=est_x.std_error,
+                shaped_stderr=est_y.std_error,
+                samples=config.samples,
+                seed=config.seed,
+            )
         )
-        if method == "exact" or (method == "auto" and enumerable):
-            source = average_info_exact(SourceEnsemble.uniform(a), n, cap=cap)
-            shaped = shaped_average_info_exact(a, n, k, cap=cap)
-            reports.append(
-                AverageReport(a, n, k, source, shaped, method="exact")
-            )
-        else:
-            est_x = estimate_average_info(config)
-            est_y = estimate_shaped_average_info(config)
-            reports.append(
-                AverageReport(
-                    a,
-                    n,
-                    k,
-                    est_x.mean,
-                    est_y.mean,
-                    method="monte-carlo",
-                    source_stderr=est_x.std_error,
-                    shaped_stderr=est_y.std_error,
-                    samples=config.samples,
-                    seed=config.seed,
-                )
-            )
     return reports

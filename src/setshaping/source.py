@@ -109,18 +109,10 @@ def literal_information_content(
     return total
 
 
-def empirical_information_content(
-    symbols: Sequence[int], alphabet_size: int | None = None
-) -> float:
+def empirical_information_content(symbols: Sequence[int], alphabet_size: int) -> float:
     """n*log2(n) - sum_v c_v*log2(c_v) from the string's own counts."""
-    if alphabet_size is None:
-        arr = _as_int_array(symbols)
-        if arr.size and arr.min() < 0:
-            raise InvalidSymbolError("symbols must be nonnegative")
-        counts = np.bincount(arr) if arr.size else np.zeros(0, dtype=np.int64)
-    else:
-        arr = validate_symbols(symbols, alphabet_size)
-        counts = np.bincount(arr, minlength=alphabet_size)
+    arr = validate_symbols(symbols, alphabet_size)
+    counts = np.bincount(arr, minlength=alphabet_size)
     n = int(arr.size)
     if n == 0:
         raise ValueError("a string must be nonempty")

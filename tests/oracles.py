@@ -184,6 +184,44 @@ def sorted_compositions(n, a):
     return [(c, class_size(c)) for c in comps]
 
 
+def shaped_source_mean(n, k, probs, interpretation="empirical"):
+    """Mean content of shaped outputs when inputs follow an i.i.d. source.
+
+    The rank-r input maps to the rank-r output, so the two class orders are
+    walked side by side and each output class collects the exact probability
+    of the inputs mapped into it: the probabilities are taken as the exact
+    fractions of their floats and summed as integers over one common
+    denominator.  Only the final weight times content is rounded.  The
+    literal interpretation needs positive probabilities.
+    """
+    a = len(probs)
+    ratios = [Fraction(p) for p in probs]
+    den = math.lcm(*(r.denominator for r in ratios))
+    nums = [r.numerator * (den // r.denominator) for r in ratios]
+    outputs = iter(sorted_compositions(n + k, a))
+    y_counts, y_left = next(outputs)
+    mass = {}
+    for x_counts, x_left in sorted_compositions(n, a):
+        weight = math.prod(m**c for m, c in zip(nums, x_counts))
+        while x_left:
+            if not y_left:
+                y_counts, y_left = next(outputs)
+            take = min(x_left, y_left)
+            mass[y_counts] = mass.get(y_counts, 0) + take * weight
+            x_left -= take
+            y_left -= take
+    scale = den**n
+    terms = []
+    for counts, m in mass.items():
+        if interpretation == "empirical":
+            info = composition_info_bits(counts)
+        else:
+            info = -math.fsum(c * math.log2(p) for p, c in zip(probs, counts) if c)
+        # int / int is correctly rounded, so the mass is exact to the last bit
+        terms.append(m / scale * info)
+    return math.fsum(terms)
+
+
 def positive_compositions(n):
     """The 2**(n-1) compositions of n into positive parts, one per cut set."""
     for cuts in itertools.product((False, True), repeat=n - 1):

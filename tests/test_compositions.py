@@ -70,13 +70,21 @@ class TestCounting:
         for n, a in [(4, 2), (5, 3), (3, 4)]:
             assert sum(multinomial(c) for c in oracles.compositions(n, a)) == a**n
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         with pytest.raises(ResourceLimitError):
             check_composition_cap(101, 10)
         with pytest.raises(ResourceLimitError):
             ClassOrder(40, 10)
-        # the boundary itself is allowed
-        assert check_composition_cap(4, 3, cap=composition_count(4, 3)) == 15
+        # the cap is read at call time, and the boundary itself is allowed
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 15)
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        assert composition_count(4, 3) == 15
+        check_composition_cap(4, 3)
+        class_order(4, 3)
+        with pytest.raises(ResourceLimitError):
+            check_composition_cap(5, 3)
+        with pytest.raises(ResourceLimitError):
+            class_order(5, 3)
 
 
 class TestOrderKeys:
@@ -289,11 +297,18 @@ class TestClassOrder:
     def test_shared_instances_are_cached(self):
         assert class_order(7, 2) is class_order(7, 2)
 
-    def test_cap_applies_to_cached_orders(self):
-        class_order(9, 3)
+    def test_cap_applies_to_cached_orders(self, monkeypatch):
+        # composition_count(9, 3) is 55; the cap guards the build, and the
+        # cached order it admits is the one every later call returns
+        cache = {}
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 54)
         with pytest.raises(ResourceLimitError):
-            class_order(9, 3, cap=54)
-        assert class_order(9, 3, cap=55) is class_order(9, 3)
+            class_order(9, 3)
+        assert cache == {}
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
+        order = class_order(9, 3)
+        assert class_order(9, 3) is order
 
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=7), st.data())

@@ -68,11 +68,14 @@ class TestAverageInfoExact:
         want = oracles.weighted_mean_info(6, probs, lambda s: oracles.literal_info(s, probs))
         assert math.isclose(got, want, abs_tol=1e-9)
 
-    def test_cap_enforced_for_every_source(self):
-        for ens in (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2))):
+    def test_cap_enforced_for_every_source(self, monkeypatch):
+        sources = (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2)))
+        for ens in sources:
             average_info_exact(ens, 9)
+        monkeypatch.setattr(compositions, "DEFAULT_COMPOSITION_CAP", 10)
+        for ens in sources:
             with pytest.raises(ResourceLimitError):
-                average_info_exact(ens, 9, cap=10)
+                average_info_exact(ens, 9)
 
     def test_interpretation_validated(self):
         with pytest.raises(ValueError):
@@ -159,6 +162,18 @@ class TestShapedAverage:
         got = shaped_average_info_exact(2, 1100, 1)
         assert math.isfinite(got)
         assert got <= average_info_exact(SourceEnsemble.uniform(2), 1101)
+
+    # At n=1100 classes hold up to comb(1100, 550) ~ 2**1096 strings, past
+    # float range, and string probabilities fall to 0.4**1100 ~ 2**-1454.
+    @pytest.mark.parametrize(
+        "probs, n, k",
+        [((0.5, 0.3, 0.2), 6, 2), ((0.1, 0.2, 0.3, 0.4), 5, 1), ((0.6, 0.4), 1100, 1)],
+    )
+    @pytest.mark.parametrize("interpretation", ["empirical", "literal"])
+    def test_source_matches_exact_oracle(self, probs, n, k, interpretation):
+        got = shaped_average_info(SourceEnsemble(probs), n, k, interpretation)
+        want = oracles.shaped_source_mean(n, k, probs, interpretation)
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_scaling_changes_no_bit(self):
         # 2**1000 strings get scaled by 2**-40; every product stays in float

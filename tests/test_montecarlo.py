@@ -306,6 +306,22 @@ class TestEstimateTable:
                 method="exact",
             )
 
+    def test_auto_samples_exactly_the_rows_the_exact_layer_refuses(self, monkeypatch):
+        # At a=3, n=9, k=1 the source mean needs 55 composition classes and
+        # the order at n+k=10 needs 66.
+        config = McConfig(alphabet_size=3, n=9, k=1, samples=2000, seed=0)
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 60)
+        (row,) = estimate_table([config], method="auto")
+        assert row.method == "monte-carlo"
+        assert row.samples == 2000
+        with pytest.raises(ResourceLimitError):
+            estimate_table([config], method="exact")
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 66)
+        (row,) = estimate_table([config], method="auto")
+        assert row.method == "exact"
+        assert row.shaped_bits == shaped_average_info_exact(3, 9, 1)
+
     def test_forced_mc_on_small_problem(self):
         (row,) = estimate_table(
             [McConfig(alphabet_size=2, n=10, k=1, samples=4000, seed=1)], method="mc"

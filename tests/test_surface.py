@@ -1,7 +1,8 @@
-"""The package's public names, its import cost, and the independence of
-the test oracles."""
+"""The package's public names and signatures, its import cost, and the
+independence of the test oracles."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -56,11 +57,71 @@ PUBLIC = [
 ]
 
 
+# Parameters of every public callable but the exception classes; a trailing
+# "=" marks one with a default.
+SIGNATURES = {
+    "AverageReport": (
+        "alphabet_size block_length surplus source_bits shaped_bits "
+        "method= source_stderr= shaped_stderr= samples= seed="
+    ),
+    "ClassOrder": "n a",
+    "ExperimentReport": (
+        "alphabet_size block_length surplus samples seed "
+        "mean_bits_raw mean_bits_shaped mean_emp_info_raw mean_emp_info_shaped"
+    ),
+    "McConfig": "alphabet_size n k= samples= seed= threads=",
+    "McEstimate": "mean std_error samples_used",
+    "ShapingParameters": "alphabet_size n k=",
+    "SourceEnsemble": "probabilities",
+    "average_info_exact": "ensemble n interpretation=",
+    "class_order": "n a",
+    "composition_count": "n a",
+    "composition_of": "symbols alphabet_size",
+    "decode": "blob n= alphabet_size=",
+    "empirical_information_content": "symbols alphabet_size",
+    "encode": "symbols alphabet_size",
+    "encoded_bit_length": "blob",
+    "estimate_average_info": "config",
+    "estimate_shaped_average_info": "config",
+    "estimate_table": "configs method=",
+    "in_image": "symbols params",
+    "info_from_counts": "counts",
+    "information_content": "ensemble symbols interpretation=",
+    "multinomial": "counts",
+    "order_product": "counts",
+    "rank_info_series": "a n k",
+    "redundancy_bound_bits": "n alphabet_size",
+    "sample_compositions": "rng n a size",
+    "shape": "symbols params",
+    "shaped_average_info": "ensemble n k interpretation=",
+    "shaped_average_info_exact": "a n k",
+    "shaping_experiment": "params samples= seed=",
+    "shard_generator": "seed shard_index",
+    "string_rank": "symbols alphabet_size",
+    "string_unrank": "rank n alphabet_size",
+    "unshape": "symbols params",
+    "validate_symbols": "symbols alphabet_size",
+}
+
+
 def test_public_names_are_pinned():
     # a new public name is a deliberate change to this list
     assert sorted(setshaping.__all__) == sorted(PUBLIC)
     assert len(set(setshaping.__all__)) == len(setshaping.__all__)
     assert all(hasattr(setshaping, name) for name in PUBLIC)
+
+
+def test_public_signatures_are_pinned():
+    # a new parameter, or a new default, is a deliberate change to this dict
+    got = {}
+    for name in setshaping.__all__:
+        obj = getattr(setshaping, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            got[name] = " ".join(
+                p.name + ("=" if p.default is not p.empty else "")
+                for p in inspect.signature(obj).parameters.values()
+            )
+    assert got == SIGNATURES
 
 
 def test_oracles_import_nothing_from_the_package():
