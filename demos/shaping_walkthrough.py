@@ -5,7 +5,7 @@ content-sorted order of inputs and outputs, the resulting lookup table, and
 why exactly half of all length-3 strings can never appear as images.
 """
 
-from itertools import islice
+from itertools import takewhile
 
 from setshaping import (
     NotInImageError,
@@ -54,7 +54,7 @@ for r in range(a**n):
 order = class_order(n + k, a)
 target = a**n
 counts, offset = order.locate_string(target - 1)
-whole = islice(order.iter_classes(), order.classes_before(counts))
+whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
 print(f"\ncut after {target} strings of length {n + k}:")
 print(f"  whole classes admitted: {[c for c, _ in whole]}")
 print(f"  last admitted class: {counts}, {offset + 1} of its {multinomial(counts)} strings")

@@ -32,10 +32,8 @@ from .codec import (
     shaping_experiment,
 )
 from .compositions import (
-    DEFAULT_COMPOSITION_CAP,
     ClassOrder,
     class_order,
-    composition_count,
     multinomial,
     order_product,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "BlockLengthError",
     "ClassOrder",
     "CorruptStreamError",
-    "DEFAULT_COMPOSITION_CAP",
     "DegenerateSampleError",
     "ExperimentReport",
     "InvalidSymbolError",
@@ -86,7 +83,6 @@ __all__ = [
     "SourceEnsemble",
     "average_info_exact",
     "class_order",
-    "composition_count",
     "composition_of",
     "decode",
     "empirical_information_content",

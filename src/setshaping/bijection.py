@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compositions import class_order, multinomial
+from .compositions import _lex_rank, _lex_select, class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
 from .source import validate_symbols
 
@@ -43,48 +43,6 @@ class ShapingParameters:
         return self.n + self.k
 
 
-def _rank_within_class(symbols: Sequence[int], counts: Sequence[int]) -> int:
-    """Lexicographic rank of the string among rearrangements of its class."""
-    remaining = list(counts)
-    m = len(symbols)
-    size = multinomial(counts)
-    rank = 0
-    for s in symbols:
-        if s:
-            # Each smaller symbol v leads size * remaining[v] // m strings,
-            # an exact integer, so their sum takes one division.
-            rank += size * sum(remaining[:s]) // m
-        size = size * remaining[s] // m
-        remaining[s] -= 1
-        m -= 1
-    return rank
-
-
-def _unrank_within_class(offset: int, counts: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of _rank_within_class for 0 <= offset < multinomial(counts)."""
-    remaining = list(counts)
-    m = sum(remaining)
-    size = multinomial(counts)
-    out = []
-    for _ in range(m):
-        total = 0
-        for v, r in enumerate(remaining):
-            if r == 0:
-                continue
-            here = size * r // m
-            if offset < total + here:
-                out.append(v)
-                offset -= total
-                size = here
-                remaining[v] -= 1
-                m -= 1
-                break
-            total += here
-        else:
-            raise AssertionError("offset exceeded the class size")
-    return tuple(out)
-
-
 def string_rank(symbols: Sequence[int], alphabet_size: int) -> int:
     """Exact position of the string in the order over its own length."""
     arr = validate_symbols(symbols, alphabet_size)
@@ -97,7 +55,8 @@ def _rank_valid(arr: np.ndarray, alphabet_size: int) -> int:
     """string_rank of a nonempty array that validate_symbols accepted."""
     order = class_order(int(arr.size), alphabet_size)
     counts = tuple(int(c) for c in np.bincount(arr, minlength=alphabet_size))
-    return order.strings_before_class(counts) + _rank_within_class(arr.tolist(), counts)
+    within = _lex_rank(arr.tolist(), dict(enumerate(counts)), multinomial(counts))
+    return order.strings_before_class(counts) + within
 
 
 def _block_rank(symbols: Sequence[int], params: ShapingParameters, length: int) -> int:
@@ -116,7 +75,7 @@ def string_unrank(rank: int, n: int, alphabet_size: int) -> tuple[int, ...]:
             f"rank {rank} out of range for {alphabet_size}**{n} strings"
         )
     counts, offset = order.locate_string(rank)
-    return _unrank_within_class(offset, counts)
+    return _lex_select(offset, dict(enumerate(counts)), multinomial(counts))
 
 
 def shape(symbols: Sequence[int], params: ShapingParameters) -> tuple[int, ...]:

@@ -100,7 +100,10 @@ def _report_records(reports: list[AverageReport]) -> list[dict]:
 
 
 def _parse_symbol_text(text: str, alphabet_size: int) -> list[int]:
-    """Digits for alphabets up to 10, whitespace/comma separated ints beyond."""
+    """ASCII digits for alphabets up to 10, comma or space separated ints beyond."""
+    # str.isdigit and int() also accept non-ASCII digits (Arabic-Indic, superscripts).
+    if not text.isascii():
+        raise InvalidSymbolError("symbol text must be ASCII")
     stripped = "".join(text.split())
     if not stripped:
         return []
@@ -108,7 +111,10 @@ def _parse_symbol_text(text: str, alphabet_size: int) -> list[int]:
         if not stripped.isdigit():
             raise InvalidSymbolError("text mode expects decimal digits only")
         return [int(ch) for ch in stripped]
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    tokens = text.replace(",", " ").split()
+    if not all(map(str.isdigit, tokens)):
+        raise InvalidSymbolError("text mode expects decimal integers only")
+    return [int(tok) for tok in tokens]
 
 
 def _format_symbols(symbols: Sequence[int], alphabet_size: int) -> str:
@@ -147,7 +153,8 @@ def _transform_file(args, forward: bool) -> int:
         raise ValueError("byte mode supports alphabets up to 256 symbols")
     raw = _read_input(args.in_file)
     if args.text:
-        symbols = _parse_symbol_text(raw.decode("ascii"), args.alphabet)
+        # latin-1 decodes every byte, so a non-ASCII one is an invalid symbol.
+        symbols = _parse_symbol_text(raw.decode("latin-1"), args.alphabet)
     else:
         symbols = list(raw)
     block = params.n if forward else params.output_length

@@ -41,19 +41,13 @@ from .errors import ResourceLimitError
 DEFAULT_COMPOSITION_CAP = 10**8
 
 
-def composition_count(n: int, a: int) -> int:
-    """Number of compositions of n into a nonnegative parts."""
-    if n < 0 or a < 1:
-        raise ValueError("need n >= 0 and a >= 1")
-    return math.comb(n + a - 1, a - 1)
-
-
 def check_composition_cap(n: int, a: int) -> None:
-    """Raise ResourceLimitError if composition_count(n, a) exceeds the cap.
+    """Raise ResourceLimitError if n into a parts has more compositions than the cap.
 
-    The cap is DEFAULT_COMPOSITION_CAP, read when this is called.
+    The count is C(n+a-1, a-1), by stars and bars; the cap is
+    DEFAULT_COMPOSITION_CAP, read when this is called.
     """
-    count = composition_count(n, a)
+    count = math.comb(n + a - 1, a - 1)
     if count > DEFAULT_COMPOSITION_CAP:
         raise ResourceLimitError(
             f"{count} composition classes for n={n}, a={a} "
@@ -134,23 +128,23 @@ def _after_zeros(count: int, slots: int, nonzero: int, zeros: int) -> int:
     return count // math.comb(slots, nonzero) * math.comb(slots - zeros, nonzero)
 
 
-def _perms_lex_below(
-    partition: Sequence[int], count: int, a: int, target: Sequence[int]
-) -> int:
-    """Count a-length rearrangements of the padded partition lex-below target.
+def _lex_rank(seq: Sequence[int], remaining: dict[int, int], count: int) -> int:
+    """Rank of seq among the count distinct arrangements of a multiset, lex ascending.
 
-    count is the number of rearrangements.  Of the count arrangements of a
-    multiset of slots elements, count*m//slots start with a value of
-    multiplicity m, so every step stays exact without factorials.  Zero
-    sorts first, so a run of zeros in target puts nothing below it; each
-    run is taken in one step, and the trailing one not at all.
+    remaining maps each value to its multiplicity and is used up in place.
+    Of the count arrangements of a multiset of slots elements, count*m//slots
+    start with a value of multiplicity m, so count*below//slots start below
+    the next value of seq, with below the multiplicities of the smaller
+    values: one exact division per position and no factorials.  Zero sorts
+    first, so a run of zeros in seq puts nothing below it; each run is taken
+    in one step, and the trailing one not at all.  A seq that is no
+    arrangement of the multiset gets the number of arrangements below it.
     """
-    remaining = _padded_multiset(partition, a)
     values = sorted(remaining)
-    below = 0
-    slots = a
+    slots = sum(remaining.values())
+    rank = 0
     zeros = 0
-    for value in target:
+    for value in seq:
         if not value:
             zeros += 1
             continue
@@ -161,17 +155,48 @@ def _perms_lex_below(
             remaining[0] -= zeros
             slots -= zeros
             zeros = 0
+        below = 0
         for v in values:
             if v >= value:
                 break
-            below += count * remaining[v] // slots
+            below += remaining[v]
+        rank += count * below // slots
         m = remaining.get(value, 0)
         if m == 0:
             break
         count = count * m // slots
         remaining[value] = m - 1
         slots -= 1
-    return below
+    return rank
+
+
+def _lex_select(t: int, remaining: dict[int, int], count: int) -> tuple[int, ...]:
+    """The arrangement of rank t among the count of a multiset; inverse of _lex_rank.
+
+    remaining is used up in place.  The arrangements whose next value is at
+    most v number count*M//slots, with M the multiplicities up to v, so the
+    next value is the first whose running multiplicity exceeds t*slots//count:
+    one exact division picks it.
+    """
+    values = sorted(remaining)
+    slots = sum(remaining.values())
+    out = []
+    while slots:
+        q = t * slots // count
+        below = 0
+        for v in values:
+            m = remaining[v]
+            if below + m > q:
+                break
+            below += m
+        else:
+            raise AssertionError("rank exceeded the arrangements")
+        t -= count * below // slots
+        count = count * m // slots
+        remaining[v] = m - 1
+        out.append(v)
+        slots -= 1
+    return tuple(out)
 
 
 def _lex_vectors(partition: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
@@ -228,10 +253,9 @@ class ClassOrder:
     _partition_rows), sorted by order product descending with partitions
     ascending inside a tie.  A tie group is a maximal run of rows sharing one
     exact order product (hence one information content); per group the order
-    keeps the product, the row offset, the information content and exact
-    string and class totals with their prefix sums, so rank and selection
-    queries read one group's row slice and never materialize the composition
-    list.
+    keeps the product, the row offset, the information content and the exact
+    string total with its prefix sums, so rank and selection queries read one
+    group's row slice and never materialize the composition list.
     """
 
     def __init__(self, n: int, a: int):
@@ -247,16 +271,14 @@ class ClassOrder:
         rows.sort(key=itemgetter(0), reverse=True)
 
         xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        products, starts, strings, classes, infos = [], [], [], [], []
+        products, starts, strings, infos = [], [], [], []
         for i, (product, part, size, count) in enumerate(rows):
             if products and product == products[-1]:
                 strings[-1] += size * count
-                classes[-1] += count
                 continue
             products.append(product)
             starts.append(i)
             strings.append(size * count)
-            classes.append(count)
             # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
             infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
         starts.append(len(rows))
@@ -264,14 +286,11 @@ class ClassOrder:
         self._group_start = starts
         self._group_index = {p: i for i, p in enumerate(products)}
         self.group_string_totals = strings
-        self.group_class_totals = classes
         self.group_infos = np.array(infos, dtype=np.float64)
 
         self._string_prefix = list(accumulate(self.group_string_totals, initial=0))
         if self._string_prefix[-1] != self.total_strings:
             raise AssertionError("group totals disagree with a**n")
-        self._class_prefix = list(accumulate(self.group_class_totals, initial=0))
-        self.num_compositions = self._class_prefix[-1]
 
     def _group_rows(self, gi: int) -> list[tuple[int, tuple[int, ...], int, int]]:
         return self._rows[self._group_start[gi] : self._group_start[gi + 1]]
@@ -295,6 +314,8 @@ class ClassOrder:
         counts = tuple(counts)
         if len(counts) != self.alphabet_size or sum(counts) != self.n:
             raise ValueError("composition does not match this order")
+        if min(counts) < 0:
+            raise ValueError("counts must be nonnegative")
         return counts
 
     def strings_before_class(self, counts: Sequence[int]) -> int:
@@ -303,16 +324,8 @@ class ClassOrder:
         gi = self.group_of(counts)
         total = self._string_prefix[gi]
         for _, part, size, count in self._group_rows(gi):
-            total += size * _perms_lex_below(part, count, self.alphabet_size, counts)
-        return total
-
-    def classes_before(self, counts: Sequence[int]) -> int:
-        """Exact number of classes ranked before the composition."""
-        counts = self._checked(counts)
-        gi = self.group_of(counts)
-        total = self._class_prefix[gi]
-        for _, part, _, count in self._group_rows(gi):
-            total += _perms_lex_below(part, count, self.alphabet_size, counts)
+            remaining = _padded_multiset(part, self.alphabet_size)
+            total += size * _lex_rank(counts, remaining, count)
         return total
 
     def locate_string(self, index: int) -> tuple[tuple[int, ...], int]:

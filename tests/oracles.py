@@ -126,6 +126,24 @@ def class_size(counts):
     return size
 
 
+def lex_rank_in_class(s, a):
+    """Lexicographic rank of s among the strings with its symbol counts.
+
+    At each position, every smaller symbol still available there leads the
+    strings that place it and arrange the rest freely.
+    """
+    counts = list(counts_of(s, a))
+    rank = 0
+    for sym in s:
+        for v in range(sym):
+            if counts[v]:
+                counts[v] -= 1
+                rank += class_size(counts)
+                counts[v] += 1
+        counts[sym] -= 1
+    return rank
+
+
 def compositions(n, a):
     """All compositions of n into a nonnegative parts, by stars and bars."""
     for bars in itertools.combinations(range(n + a - 1), a - 1):

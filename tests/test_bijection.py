@@ -1,6 +1,7 @@
 """Rank/unrank correspondence and the length-increasing shaping map."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from setshaping import (
     InvalidSymbolError,
     NotInImageError,
     ShapingParameters,
+    class_order,
     in_image,
     shape,
     string_rank,
@@ -77,6 +79,40 @@ class TestRanking:
             s = rng.integers(0, 3, size=60)
             rank = string_rank(s, 3)
             assert tuple(string_unrank(rank, 60, 3)) == tuple(s)
+
+
+class TestWithinClass:
+    """A string's rank is its class's start plus its lex rank inside the class."""
+
+    @staticmethod
+    def check(s, a):
+        rank = string_rank(s, a)
+        start = class_order(len(s), a).strings_before_class(oracles.counts_of(s, a))
+        assert rank == start + oracles.lex_rank_in_class(s, a)
+        assert tuple(string_unrank(rank, len(s), a)) == s
+
+    @pytest.mark.parametrize("a", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 7, 23, 40])
+    def test_strings_with_long_zero_runs(self, n, a):
+        # runs of symbol 0 of every length, leading and trailing ones included
+        rng = random.Random(100 * n + a)
+        strings = {(0,) * n, (0,) * (n - 1) + (a - 1,), (a - 1,) + (0,) * (n - 1)}
+        while len(strings) < min(a**n, 10):
+            s = []
+            while len(s) < n:
+                s.extend([0] * rng.randrange(n))
+                s.append(rng.randrange(a))
+            strings.add(tuple(s[:n]))
+        for s in sorted(strings):
+            self.check(s, a)
+
+    def test_large_alphabet(self, monkeypatch):
+        # 3 into 1000 parts has more compositions than the cap admits, but
+        # its order holds three partitions
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 10**9)
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        for s in [(0, 0, 0), (0, 0, 999), (0, 5, 0), (999, 0, 0), (7, 7, 0), (3, 998, 2)]:
+            self.check(s, 1000)
 
 
 class TestShapingMap:

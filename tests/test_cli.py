@@ -63,6 +63,24 @@ class TestRankCommands:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["rank", "shape"])
+    @pytest.mark.parametrize(
+        "text, alphabet", [("\u06631", 5), ("\u00b21", 5), ("1,abc", 12), ("0\u00e91", 3)]
+    )
+    def test_malformed_symbol_text_is_domain_error(
+        self, capsys, tmp_path, command, text, alphabet
+    ):
+        # an Arabic-Indic 3, a superscript 2, a word, a non-ASCII letter
+        if command == "rank":
+            argv = ["rank", text, "-a", str(alphabet)]
+        else:
+            src = tmp_path / "in.txt"
+            src.write_bytes(text.encode("utf-8"))
+            argv = ["shape", str(src), "-a", str(alphabet), "-n", "2", "--text"]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "error" in err
+
     def test_out_of_range_rank_is_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, "unrank", "4", "-n", "2", "-a", "2")
         assert code == 2

@@ -12,7 +12,6 @@ from setshaping import (
     ClassOrder,
     ResourceLimitError,
     class_order,
-    composition_count,
     empirical_information_content,
     multinomial,
     order_product,
@@ -31,20 +30,15 @@ def compositions():
 def library_compare(c1, c2):
     """-1, 0 or +1 from the classes' positions in the library's order."""
     order = class_order(sum(c1), len(c1))
-    r1, r2 = order.classes_before(c1), order.classes_before(c2)
+    r1, r2 = order.strings_before_class(c1), order.strings_before_class(c2)
     return (r1 > r2) - (r1 < r2)
 
 
 class TestCounting:
-    def test_composition_count_is_stars_and_bars(self):
-        for n in range(1, 8):
-            for a in range(1, 6):
-                assert composition_count(n, a) == math.comb(n + a - 1, a - 1)
-
     def test_enumeration_length_matches_count(self):
         for n, a in [(1, 2), (4, 3), (6, 2), (5, 4)]:
             comps = [c for c, _ in ClassOrder(n, a).iter_classes()]
-            assert len(comps) == composition_count(n, a)
+            assert len(comps) == math.comb(n + a - 1, a - 1)
             assert len(set(comps)) == len(comps)
             assert all(sum(c) == n and len(c) == a for c in comps)
             assert set(comps) == set(oracles.compositions(n, a))
@@ -75,10 +69,10 @@ class TestCounting:
             check_composition_cap(101, 10)
         with pytest.raises(ResourceLimitError):
             ClassOrder(40, 10)
-        # the cap is read at call time, and the boundary itself is allowed
+        # the cap is read at call time, and the boundary itself is allowed:
+        # 4 into 3 parts has 15 compositions, 5 into 3 parts 21
         monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 15)
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
-        assert composition_count(4, 3) == 15
         check_composition_cap(4, 3)
         class_order(4, 3)
         with pytest.raises(ResourceLimitError):
@@ -207,8 +201,6 @@ class TestClassOrder:
     def test_group_totals_tile_everything(self):
         order = ClassOrder(8, 3)
         assert sum(order.group_string_totals) == 3**8
-        assert sum(order.group_class_totals) == composition_count(8, 3)
-        assert order.num_compositions == composition_count(8, 3)
 
     def test_group_products_strictly_descending(self):
         order = ClassOrder(16, 5)
@@ -236,13 +228,6 @@ class TestClassOrder:
             first_index.setdefault(c, i)
         for counts, start in first_index.items():
             assert order.strings_before_class(counts) == start
-
-    def test_classes_before_matches_sorted_position(self):
-        n, a = 6, 3
-        order = ClassOrder(n, a)
-        comps = [c for c, _ in oracles.sorted_compositions(n, a)]
-        for i, c in enumerate(comps):
-            assert order.classes_before(c) == i
 
     def test_locate_string_walks_every_class_boundary(self):
         n, a = 5, 3
@@ -277,9 +262,14 @@ class TestClassOrder:
         with pytest.raises(ValueError):
             order.strings_before_class((2, 1))
         with pytest.raises(ValueError):
-            order.classes_before((2, 1))
-        with pytest.raises(ValueError):
             order.group_of((3, 3))
+
+    def test_negative_parts_rejected(self):
+        # each sums to n and shares its order product with a real composition
+        order = class_order(4, 4)
+        for counts in [(2, 2, 1, -1), (3, 1, 1, -1)]:
+            with pytest.raises(ValueError):
+                order.strings_before_class(counts)
 
     def test_iter_group_classes_is_lex_within_group(self):
         order = ClassOrder(16, 5)
@@ -287,7 +277,7 @@ class TestClassOrder:
         got = list(order._iter_group_classes(gi))
         vectors = [v for v, _ in got]
         assert vectors == sorted(vectors)
-        assert len(vectors) == order.group_class_totals[gi]
+        assert len(vectors) == oracles.group_table(16, 5)[gi][3]
         assert all(size == multinomial(v) for v, size in got)
 
     def test_iter_classes_agrees_with_materialized_list(self):
@@ -298,7 +288,7 @@ class TestClassOrder:
         assert class_order(7, 2) is class_order(7, 2)
 
     def test_cap_applies_to_cached_orders(self, monkeypatch):
-        # composition_count(9, 3) is 55; the cap guards the build, and the
+        # 9 into 3 parts has 55 compositions; the cap guards the build, and the
         # cached order it admits is the one every later call returns
         cache = {}
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
@@ -373,19 +363,15 @@ class TestGroupTableOracle:
         assert order.group_products == [g[0] for g in table]
         assert order.group_partitions == [g[1] for g in table]
         assert order.group_string_totals == [g[2] for g in table]
-        assert order.group_class_totals == [g[3] for g in table]
-        assert order.num_compositions == sum(g[3] for g in table)
-        assert order.num_compositions == composition_count(n, a)
         # bit for bit: the value oracles.composition_info_bits gives the first partition
         assert order.group_infos.tolist() == [oracles.composition_info_bits(g[1][0]) for g in table]
-        if order.num_compositions <= 10**4:
+        if math.comb(n + a - 1, a - 1) <= 10**4:
             expected = oracles.sorted_compositions(n, a)
             assert list(order.iter_classes()) == expected
             # rank and selection at every class, cross-partition ties included
             start = 0
-            for i, (counts, size) in enumerate(expected):
+            for counts, size in expected:
                 assert order.strings_before_class(counts) == start
-                assert order.classes_before(counts) == i
                 assert order.locate_string(start) == (counts, 0)
                 assert order.locate_string(start + size - 1) == (counts, size - 1)
                 start += size
@@ -410,9 +396,8 @@ class TestZeroRuns:
     def test_every_class_against_brute_force(self, n, a):
         order = ClassOrder(n, a)
         start = 0
-        for i, (counts, size) in enumerate(oracles.sorted_compositions(n, a)):
+        for counts, size in oracles.sorted_compositions(n, a):
             assert order.strings_before_class(counts) == start
-            assert order.classes_before(counts) == i
             assert order.locate_string(start) == (counts, 0)
             assert order.locate_string(start + size - 1) == (counts, size - 1)
             start += size
@@ -424,7 +409,6 @@ class TestZeroRuns:
         for j in (0, 1, a // 2, a - 1):
             counts = tuple(int(i == j) for i in range(a))
             assert order.strings_before_class(counts) == a - 1 - j
-            assert order.classes_before(counts) == a - 1 - j
             assert order.locate_string(a - 1 - j) == (counts, 0)
 
     def test_pairs_at_a_large_alphabet(self):
@@ -436,7 +420,6 @@ class TestZeroRuns:
             counts = tuple(int(v in (i, j)) for v in range(a))
             classes = a + math.comb(a - 1 - i, 2) + (a - 1 - j)
             strings = a + 2 * (classes - a)
-            assert order.classes_before(counts) == classes
             assert order.strings_before_class(counts) == strings
             assert order.locate_string(strings + 1) == (counts, 1)
         assert order.locate_string(a - 1) == ((2,) + (0,) * (a - 1), 0)

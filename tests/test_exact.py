@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from itertools import islice
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -202,7 +202,7 @@ class TestSelectionBoundary:
         counts, offset = order.locate_string(2**2 - 1)
         assert counts == (1, 2)
         assert offset + 1 == 2 < multinomial(counts)
-        whole = islice(order.iter_classes(), order.classes_before(counts))
+        whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
         assert [c for c, _ in whole] == [(0, 3), (3, 0)]
         assert math.isclose(order.info_at(3), 3 * math.log2(3) - 2, abs_tol=1e-12)
         assert math.isclose(order.info_at(4), 3 * math.log2(3) - 2, abs_tol=1e-12)
@@ -211,14 +211,14 @@ class TestSelectionBoundary:
         order = class_order(4, 3)
         counts, offset = order.locate_string(3**3 - 1)
         assert offset + 1 == multinomial(counts)
-        whole = islice(order.iter_classes(), order.classes_before(counts) + 1)
-        assert sum(size for _, size in whole) == 27
+        whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
+        assert sum(size for _, size in whole) + multinomial(counts) == 27
 
     def test_selected_counts_add_up(self):
         for a, n, k in self.CASES:
             order = class_order(n + k, a)
             counts, offset = order.locate_string(a**n - 1)
-            whole = islice(order.iter_classes(), order.classes_before(counts))
+            whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
             assert sum(size for _, size in whole) + offset + 1 == a**n
 
     def test_max_selected_never_exceeds_min_complement(self):

@@ -15,7 +15,6 @@ PUBLIC = [
     "BlockLengthError",
     "ClassOrder",
     "CorruptStreamError",
-    "DEFAULT_COMPOSITION_CAP",
     "DegenerateSampleError",
     "ExperimentReport",
     "InvalidSymbolError",
@@ -28,7 +27,6 @@ PUBLIC = [
     "SourceEnsemble",
     "average_info_exact",
     "class_order",
-    "composition_count",
     "composition_of",
     "decode",
     "empirical_information_content",
@@ -75,7 +73,6 @@ SIGNATURES = {
     "SourceEnsemble": "probabilities",
     "average_info_exact": "ensemble n interpretation=",
     "class_order": "n a",
-    "composition_count": "n a",
     "composition_of": "symbols alphabet_size",
     "decode": "blob n= alphabet_size=",
     "empirical_information_content": "symbols alphabet_size",
