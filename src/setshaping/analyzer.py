@@ -8,9 +8,13 @@ distinct probability; the literal mean is n times the source entropy.
 A string's empirical information content depends only on its composition,
 so the mean over the a**n lowest-content strings of length n+k reduces to
 whole tie groups of the exact class order plus one partially included
-group.  The uniform shaped mean and both per-rank series read that cut from
-ClassOrder.head; the non-uniform shaped mean walks the classes of the two
-orders instead.  Nothing here enumerates strings.
+group.  The uniform shaped mean takes the complement from the top of the
+order: a**k times the mean over all a**(n+k) strings, less the
+highest-content strings left out, which compositions.top_groups reads off
+the few near-balanced partitions without building the order.  Where that
+subtraction would cost accuracy it reads the cut from ClassOrder.head, as
+both per-rank series do; the non-uniform shaped mean walks the classes of
+the two orders instead.  Nothing here enumerates strings.
 
 The selection cutoff slices the length-(n+k) order after exactly a**n
 strings.  When the cut lands inside a class, the selected members are the
@@ -28,12 +32,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import ClassOrder, check_composition_cap, class_order
+from .compositions import ClassOrder, check_composition_cap, class_order, top_groups
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
 # Largest a**n for which the per-rank series is materialized.
 SERIES_LIMIT = 10**7
+
+# Largest ratio of the top route's terms, a**k*(n+k)*log2(n+k), to the
+# uniform shaped mean: their rounding error of about 2**-50 then stays within
+# 2**-40, about 1e-12, of the mean.
+_TOP_ROUTE_RATIO = 2**10
 
 
 @dataclass(frozen=True)
@@ -152,9 +161,25 @@ def shaped_average_info_exact(a: int, n: int, k: int) -> float:
 
     Uniform sources only: every selected string carries weight a**-n, so the
     mean is a plain average and whole tie groups contribute strings*info.
+    It is taken from the top of the order: a**k times the mean over all
+    a**(n+k) strings, less the a**(n+k) - a**n highest-content strings over
+    a**n, which top_groups reads off the few near-balanced partitions.  The
+    terms of that difference reach a**k*(n+k)*log2(n+k), so its rounding
+    error is at most about that times 2**-50.  Where this exceeds 2**-40 of
+    the mean (it always does for a**k past _TOP_ROUTE_RATIO, since no
+    content exceeds (n+k)*log2(n+k)), the mean sums the selected groups of
+    the full order instead.
     """
     _check_shaping(a, n, k)
-    return _head_mean(class_order(n + k, a), a**n)
+    count, length = a**n, n + k
+    if a**k <= _TOP_ROUTE_RATIO:
+        infos, taken = top_groups(length, a, a**length - count)
+        # int / int is correctly rounded, so no count leaves float range.
+        left_out = math.fsum([s / count * info for s, info in zip(taken, infos)])
+        mean = a**k * average_info_exact(SourceEnsemble.uniform(a), length) - left_out
+        if a**k * length * math.log2(length) <= _TOP_ROUTE_RATIO * mean:
+            return mean
+    return _head_mean(class_order(length, a), count)
 
 
 def shaped_average_info(

@@ -111,6 +111,9 @@ def _parse_symbol_text(text: str, alphabet_size: int) -> list[int]:
         if not stripped.isdigit():
             raise InvalidSymbolError("text mode expects decimal digits only")
         return [int(ch) for ch in stripped]
+    # A comma separates two symbols: none may start, end or double one.
+    if not all(field.strip() for field in text.split(",")):
+        raise InvalidSymbolError("text mode expects a symbol between commas")
     tokens = text.replace(",", " ").split()
     if not all(map(str.isdigit, tokens)):
         raise InvalidSymbolError("text mode expects decimal integers only")

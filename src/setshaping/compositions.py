@@ -20,7 +20,9 @@ count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
 while staying exact.  One depth-first walk over the partitions yields a flat
 table of (product, partition, class size, class count) rows; one stable sort
-and one pass over it give the tie groups.
+and one pass over it give the tie groups.  Given a product limit, the same
+walk keeps only the rows at or below it, which is how top_groups reads the
+highest-content end of the order without building the rest.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import heapq
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, groupby, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -76,7 +78,19 @@ def order_product(counts: Sequence[int]) -> int:
     return result
 
 
-def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+def _even_split_product(r: int, s: int) -> int:
+    """Order product of r split as evenly as possible into s parts.
+
+    By convexity of c*log(c) no split of r into at most s parts has a
+    smaller product.
+    """
+    q, extra = divmod(r, s)
+    return (q**q) ** (s - extra) * ((q + 1) ** (q + 1)) ** extra
+
+
+def _partition_rows(
+    n: int, a: int, limit: int | None = None
+) -> list[tuple[int, tuple[int, ...], int, int]]:
     """One row per partition of n into at most a parts, partitions lex ascending.
 
     A row is (order product, partition, class size, class count): the class
@@ -85,19 +99,34 @@ def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int
     perm(a, len) / prod(multiplicity!).  The depth-first walk carries the
     product, the factorial denominator and the multiplicity factorials down
     the recursion, so siblings share their prefix's work.
+
+    With a limit, only the rows whose order product is at most limit are
+    kept.  Parts are placed largest first and each is at least the even
+    share of the rest, so the least product a prefix can be completed to is
+    the even split of what remains over the free slots.  That bound never
+    falls as the next part grows, so the first part past the limit ends the
+    loop; every test is on exact integers.
     """
     powers = [c**c for c in range(n + 1)]
     fact = list(accumulate(range(1, n + 1), mul, initial=1))
     perms = [math.perm(a, length) for length in range(min(a, n) + 1)]
+    if limit is not None:
+        # least[s][r]: least order product of r in at most s parts.
+        least = [[1]] + [
+            [_even_split_product(r, s) for r in range(n + 1)] for s in range(1, a)
+        ]
     rows: list[tuple[int, tuple[int, ...], int, int]] = []
 
     def walk(prefix, rest, slots, top, prod, den, mult_den, run):
         # top bounds the next part and is the last part placed, whose run
         # of equal parts has length run.
         for c in range(-(-rest // slots), min(rest, top) + 1):
+            p = prod * powers[c]
+            if limit is not None and p * least[slots - 1][rest - c] > limit:
+                break
             part = prefix + (c,)
             c_run = run + 1 if c == top else 1
-            p, d, md = prod * powers[c], den * fact[c], mult_den * c_run
+            d, md = den * fact[c], mult_den * c_run
             if c == rest:
                 rows.append((p, part, fact[n] // d, perms[len(part)] // md))
             else:
@@ -105,6 +134,45 @@ def _partition_rows(n: int, a: int) -> list[tuple[int, tuple[int, ...], int, int
 
     walk((), n, a, n, 1, 1, 1, 0)
     return rows
+
+
+def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
+    """The last count strings of the order of (n, a), one tie group at a time.
+
+    The mirror of ClassOrder.head, read without building the order: the
+    highest-content strings lie on the few partitions of smallest order
+    product, so the partition walk keeps only the rows up to a product
+    limit, widened from 2**8 times the least product until the kept rows
+    hold count strings.  Every kept tie group is whole, since its rows
+    share one product.  Returns the information contents of the groups,
+    highest first, and how many strings each gives: all of its strings,
+    except for the last group, which the cut may split.
+    """
+    if not 0 < count <= a**n:
+        raise ValueError(f"string count {count} out of range")
+    check_composition_cap(n, a)
+    least_product = _even_split_product(n, a)
+    shift = 8
+    rows = _partition_rows(n, a, least_product << shift)
+    while sum(size * classes for _, _, size, classes in rows) < count:
+        shift *= 2
+        rows = _partition_rows(n, a, least_product << shift)
+    # Stable: partitions stay ascending inside each tie group, as in
+    # ClassOrder, so each group's content comes from the same partition.
+    rows.sort(key=itemgetter(0))
+
+    xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+    infos, taken = [], []
+    for _, group in groupby(rows, key=itemgetter(0)):
+        group = list(group)
+        strings = sum(size * classes for _, _, size, classes in group)
+        # ClassOrder's sum over the group's first partition: the same bits.
+        infos.append(xlogx[n] - math.fsum([xlogx[c] for c in group[0][1] if c > 1]))
+        taken.append(min(strings, count))
+        count -= taken[-1]
+        if not count:
+            break
+    return infos, taken
 
 
 def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:

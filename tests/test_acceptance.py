@@ -13,6 +13,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import acceptance_report
 import oracles
@@ -35,6 +36,7 @@ from setshaping import (
     string_rank,
     unshape,
 )
+from setshaping import compositions
 
 # Published reference rows (three-decimal rounding): a -> (source, shaped, diff).
 TABLE1_REFERENCE = {
@@ -58,6 +60,16 @@ TABLE2_REFERENCE = {
     8: (294.869, 292.557, 2.311),
     9: (311.118, 308.371, 2.747),
     10: (325.568, 322.417, 3.151),
+}
+
+# Exact Table 2 rows past the composition cap, a -> (source, shaped), as
+# recorded in ROADMAP item 1 to four decimals.
+TABLE2_EXACT_PAST_CAP = {
+    6: (254.8450, 253.4318),
+    7: (276.3456, 274.4818),
+    8: (294.8684, 292.5658),
+    9: (311.1160, 308.3844),
+    10: (325.5679, 322.4154),
 }
 
 SERIES_MEAN_X = 14.263
@@ -125,8 +137,10 @@ def test_criterion_2_series_scenario(failures):
 
 @criterion(3, "table2-hybrid")
 def test_criterion_3_long_block_table(failures):
-    """Exact a=2..5 within +-0.05; MC (M=1e6) all rows within +-0.15 and
-    within 3 standard errors of exact where exact exists; diffs increase."""
+    """Exact a=2..5 within +-0.05, and a=6..10 with the composition cap
+    raised within +-0.05 and equal to ROADMAP's values to 4 decimals; MC
+    (M=1e6) all rows within +-0.15 and within 3 standard errors of exact;
+    diffs increase."""
     start = time.perf_counter()
     n, k, m = 100, 1, 10**6
 
@@ -141,6 +155,21 @@ def test_criterion_3_long_block_table(failures):
         if abs(y - want_y) > 0.05:
             failures.append(f"exact a={a} I(y) {y:.6f} vs {want_y}")
 
+    past_cap = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compositions, "DEFAULT_COMPOSITION_CAP", math.comb(n + k + 9, 9))
+        for a, (want_x4, want_y4) in TABLE2_EXACT_PAST_CAP.items():
+            x = average_info_exact(SourceEnsemble.uniform(a), n)
+            y = shaped_average_info_exact(a, n, k)
+            past_cap[a] = (x, y)
+            want_x, want_y, _ = TABLE2_REFERENCE[a]
+            if abs(x - want_x) > 0.05:
+                failures.append(f"exact a={a} I(x) {x:.6f} vs {want_x}")
+            if abs(y - want_y) > 0.05:
+                failures.append(f"exact a={a} I(y) {y:.6f} vs {want_y}")
+            if (round(x, 4), round(y, 4)) != (want_x4, want_y4):
+                failures.append(f"exact a={a} ({x:.6f}, {y:.6f}) vs ({want_x4}, {want_y4})")
+
     mc = {}
     for a in range(2, 11):
         cfg = McConfig(alphabet_size=a, n=n, k=k, samples=m, seed=a, threads=2)
@@ -153,7 +182,7 @@ def test_criterion_3_long_block_table(failures):
         if abs(est_y.mean - want_y) > 0.15:
             failures.append(f"mc a={a} I(y) {est_y.mean:.6f} vs {want_y}")
 
-    for a, (x, y) in exact.items():
+    for a, (x, y) in (exact | past_cap).items():
         est_x, est_y = mc[a]
         if abs(est_x.mean - x) > 3 * est_x.std_error:
             failures.append(

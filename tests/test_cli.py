@@ -65,12 +65,24 @@ class TestRankCommands:
 
     @pytest.mark.parametrize("command", ["rank", "shape"])
     @pytest.mark.parametrize(
-        "text, alphabet", [("\u06631", 5), ("\u00b21", 5), ("1,abc", 12), ("0\u00e91", 3)]
+        "text, alphabet",
+        [
+            ("\u06631", 5),
+            ("\u00b21", 5),
+            ("1,abc", 12),
+            ("0\u00e91", 3),
+            ("1,,2", 12),
+            ("1,2,", 12),
+            (",1,2", 12),
+            ("1, ,2\n", 12),
+            ("1,2,\n", 12),
+        ],
     )
     def test_malformed_symbol_text_is_domain_error(
         self, capsys, tmp_path, command, text, alphabet
     ):
-        # an Arabic-Indic 3, a superscript 2, a word, a non-ASCII letter
+        # an Arabic-Indic 3, a superscript 2, a word, a non-ASCII letter,
+        # then empty symbols between, after and before commas
         if command == "rank":
             argv = ["rank", text, "-a", str(alphabet)]
         else:
@@ -80,6 +92,12 @@ class TestRankCommands:
         code, _, err = run_cli(capsys, *argv)
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["1 2", "1, 2", " 1,2\n", "1\n2\n"])
+    def test_large_alphabet_separators(self, capsys, text):
+        # commas, whitespace and a trailing newline all separate symbols
+        code, out, _ = run_cli(capsys, "rank", text, "-a", "12")
+        assert (code, out) == (0, "120\n")
 
     def test_out_of_range_rank_is_argument_error(self, capsys):
         code, _, _ = run_cli(capsys, "unrank", "4", "-n", "2", "-a", "2")

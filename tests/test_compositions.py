@@ -16,7 +16,12 @@ from setshaping import (
     multinomial,
     order_product,
 )
-from setshaping.compositions import check_composition_cap
+from setshaping.compositions import (
+    _even_split_product,
+    _partition_rows,
+    check_composition_cap,
+    top_groups,
+)
 
 
 def compositions():
@@ -348,6 +353,60 @@ class TestHead:
             order.head(0)
         with pytest.raises(ValueError):
             order.head(9)
+
+
+class TestBoundedWalk:
+    """The partition walk kept to the rows at or below an order product limit."""
+
+    @pytest.mark.parametrize("n, a", [(n, a) for n in range(1, 15) for a in range(1, 7)])
+    def test_equals_the_filtered_full_walk(self, n, a):
+        rows = _partition_rows(n, a)
+        products = sorted({row[0] for row in rows})
+        assert products[0] == _even_split_product(n, a)
+        # every third tie edge, on it and just below it, and past the largest
+        limits = {0, products[-1] + 1}
+        for p in products[::3] + products[-1:]:
+            limits.update((p - 1, p))
+        for limit in sorted(limits):
+            assert _partition_rows(n, a, limit) == [row for row in rows if row[0] <= limit]
+
+
+class TestTopGroups:
+    """The last count strings of the order, read without building it."""
+
+    @pytest.mark.parametrize("n, a", [(1, 3), (4, 2), (3, 3), (4, 3), (3, 4), (8, 2), (5, 3), (4, 4)])
+    def test_every_cut_mirrors_the_full_order(self, n, a):
+        order = ClassOrder(n, a)
+        infos = order.group_infos.tolist()[::-1]
+        totals = order.group_string_totals[::-1]
+        for count in range(1, a**n + 1):
+            got_infos, taken = top_groups(n, a, count)
+            g = len(taken)
+            # bit for bit: each group's content comes from the same partition
+            assert got_infos == infos[:g]
+            assert taken[:-1] == totals[: g - 1]
+            assert 0 < taken[-1] <= totals[g - 1]
+            assert sum(taken) == count
+
+    def test_widens_past_the_first_limit(self):
+        # at (12, 2) the products span 12**12 / 6**12 = 2**12 > 2**8
+        order = ClassOrder(12, 2)
+        infos, taken = top_groups(12, 2, 2**12)
+        assert infos == order.group_infos.tolist()[::-1]
+        assert taken == order.group_string_totals[::-1]
+
+    def test_count_bounds_checked(self):
+        with pytest.raises(ValueError):
+            top_groups(3, 2, 0)
+        with pytest.raises(ValueError):
+            top_groups(3, 2, 9)
+
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 54)
+        with pytest.raises(ResourceLimitError):
+            top_groups(9, 3, 1)
+        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
+        assert sum(top_groups(9, 3, 1)[1]) == 1
 
 
 class TestGroupTableOracle:

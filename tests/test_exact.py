@@ -139,9 +139,69 @@ class TestShapedAverage:
 
     @pytest.mark.parametrize("a,n,k", [(2, 6, 1), (3, 5, 1), (4, 4, 2)])
     def test_general_route_agrees_on_uniform_sources(self, a, n, k):
-        fast = shaped_average_info_exact(a, n, k)
-        general = shaped_average_info(SourceEnsemble.uniform(a), n, k)
-        assert math.isclose(fast, general, abs_tol=1e-12)
+        # the uniform source goes to shaped_average_info_exact; check it
+        # against the exact-mass oracle and the sum over the full order's head
+        got = shaped_average_info(SourceEnsemble.uniform(a), n, k)
+        want = oracles.shaped_source_mean(n, k, (1 / a,) * a)
+        assert math.isclose(got, want, rel_tol=1e-12)
+        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-12)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_top_route_matches_the_head_of_the_full_order(self, a, n, k):
+        got = shaped_average_info_exact(a, n, k)
+        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-12)
+        if a ** (n + k) <= 3**9:
+            assert math.isclose(got, oracles.shaped_mean_info(n, a, k), rel_tol=1e-12)
+
+    # Both sides of the top route's accuracy bound a**k*N*log2(N) <= 2**10 *
+    # mean, N = n+k: the ratio is 271, 834 and 934 on the top route, then
+    # 1296, 2535, infinite (a mean of 0), and a**k = 1089 and 2048 past 2**10.
+    @pytest.mark.parametrize(
+        "a, n, k, top",
+        [
+            (4, 3, 3, True),
+            (6, 2, 3, True),
+            (2, 6, 7, True),
+            (4, 3, 4, False),
+            (2, 4, 8, False),
+            (32, 1, 2, False),
+            (33, 1, 2, False),
+            (2, 3, 11, False),
+        ],
+    )
+    def test_top_route_limit(self, monkeypatch, a, n, k, top):
+        monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
+        got = shaped_average_info_exact(a, n, k)
+        assert (compositions._ORDER_CACHE == {}) is top
+        want = oracles.shaped_mean_info(n, a, k)
+        assert math.isclose(got, want, rel_tol=1e-12) and got >= 0.0
+        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-12)
+
+    def test_table2_rows_build_no_class_order(self, monkeypatch):
+        monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
+        for a in range(2, 6):
+            shaped_average_info_exact(a, 100, 1)
+        assert compositions._ORDER_CACHE == {}
+
+    def test_top_route_work_is_bounded(self, monkeypatch):
+        # rows kept by the bounded walks at n+k=101, a=5, against 48,006
+        # partitions in the full order
+        kept = []
+        walk = compositions._partition_rows
+
+        def counting_walk(n, a, limit=None):
+            rows = walk(n, a, limit)
+            kept.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(compositions, "_partition_rows", counting_walk)
+        shaped_average_info_exact(5, 100, 1)
+        assert 0 < sum(kept) < 5000
 
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -282,11 +342,13 @@ class TestAverageReport:
 class TestGolden:
     """Exact values pinned to their reprs and array hashes.
 
-    Shaped means and series are pinned bit for bit.  The average_info_exact
-    reprs are those of the former class-walk summation, kept as reference
-    values; the binomial sum agrees with them to a relative 1e-12 (measured:
-    at most 1 ulp on UNIFORM, at most 10 ulps or 1.3e-15 relative on
-    SOURCES).
+    Series and non-uniform shaped means are pinned bit for bit.  The
+    UNIFORM reprs are those of the former class-walk summation and of the
+    full order's head, kept as reference values: the binomial sum agrees
+    with them to a relative 1e-12 (measured: at most 1 ulp on UNIFORM, at
+    most 10 ulps or 1.3e-15 relative on SOURCES), and so does the uniform
+    shaped mean taken from the top of the order (measured: at most 5 ulps
+    or 7e-16 relative).
     """
 
     # (a, n) -> (average_info_exact, shaped_average_info_exact at k=1)
@@ -332,7 +394,8 @@ class TestGolden:
         source, shaped = self.UNIFORM[a, n]
         got = average_info_exact(SourceEnsemble.uniform(a), n)
         assert math.isclose(got, float(source), rel_tol=1e-12)
-        assert repr(shaped_average_info_exact(a, n, 1)) == shaped
+        got = shaped_average_info_exact(a, n, 1)
+        assert math.isclose(got, float(shaped), rel_tol=1e-12)
 
     @pytest.mark.parametrize("a, n, k", sorted(SERIES))
     def test_rank_series(self, a, n, k):
