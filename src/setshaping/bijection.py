@@ -54,8 +54,11 @@ def string_rank(symbols: Sequence[int], alphabet_size: int) -> int:
 def _rank_valid(arr: np.ndarray, alphabet_size: int) -> int:
     """string_rank of a nonempty array that validate_symbols accepted."""
     order = class_order(int(arr.size), alphabet_size)
-    counts = tuple(int(c) for c in np.bincount(arr, minlength=alphabet_size))
-    within = _lex_rank(arr.tolist(), dict(enumerate(counts)), multinomial(counts))
+    counts = np.bincount(arr, minlength=alphabet_size).tolist()
+    # Symbols that do not occur change neither the arrangements of the class
+    # nor a string's rank among them.
+    present = {v: c for v, c in enumerate(counts) if c}
+    within = _lex_rank(arr.tolist(), present, multinomial(present.values()))
     return order.strings_before_class(counts) + within
 
 
@@ -75,7 +78,8 @@ def string_unrank(rank: int, n: int, alphabet_size: int) -> tuple[int, ...]:
             f"rank {rank} out of range for {alphabet_size}**{n} strings"
         )
     counts, offset = order.locate_string(rank)
-    return _lex_select(offset, dict(enumerate(counts)), multinomial(counts))
+    present = {v: c for v, c in enumerate(counts) if c}
+    return _lex_select(offset, present, multinomial(present.values()))
 
 
 def shape(symbols: Sequence[int], params: ShapingParameters) -> tuple[int, ...]:

@@ -21,8 +21,11 @@ the composition count grows like n**(a-1), which keeps n around 100 cheap
 while staying exact.  One depth-first walk over the partitions yields a flat
 table of (product, partition, class size, class count) rows; one stable sort
 and one pass over it give the tie groups.  Given a product limit, the same
-walk keeps only the rows at or below it, which is how top_groups reads the
-highest-content end of the order without building the rest.
+walk keeps only the rows at or below it: the high-content end of the order,
+where nearly every string lies.  ClassOrder starts from that tail, holding
+all but at most 2**-20 of the strings, and walks every partition only when
+a query falls below it; top_groups reads the highest-content strings from the
+same kind of tail.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import heapq
 import math
 import threading
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -136,43 +139,109 @@ def _partition_rows(
     return rows
 
 
+def _cover_limit(n: int, a: int, uncovered: int) -> int:
+    """An order product limit whose rows leave out about `uncovered` strings.
+
+    For a uniformly random string, ln(product / least product) is about n
+    times the divergence of its counts from the even split, which tends to
+    half a chi-square variable with a-1 degrees of freedom.  The limit is
+    the least product raised by the Wilson-Hilferty approximation of that
+    variable's quantile at the fraction left out, rounded up to whole bits,
+    and one more bit for the finite n (on the Table 1 and Table 2 orders
+    and the n=100 tails it added at most 0.61 bits).  Only how many rows a
+    walk visits depends on it: exact products still decide which rows are
+    kept, and _Table walks every row when the limit falls short.
+    """
+    from statistics import NormalDist  # loaded only here: Monte Carlo builds no order
+
+    k = a - 1
+    # Clamped so that the normal quantile stays finite.
+    fraction = min(max(uncovered / a**n, 1e-300), 0.5)
+    z = -NormalDist().inv_cdf(fraction)
+    chi2 = k * max(1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k)), 0.0) ** 3
+    return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
+
+
+class _Table:
+    """The rows of the order, or of its tail, grouped into tie groups.
+
+    The tail is the rows with order product at most a limit (see
+    _cover_limit) that hold all but at most `uncovered` of the a**n strings;
+    with uncovered 0, or when the limit falls short, the table holds every
+    row.  Rows are in the order's layout: product descending, partitions
+    ascending inside a tie.  The limit is an exact product, so a tail is an
+    exact suffix of the complete table and each of its tie groups is whole.
+    Per group the table keeps the product, the row offset, the information
+    content and the string total, and prefix[g] counts the strings before
+    group g in the whole order: prefix[0], the base, is the number before
+    the tail, 0 for the complete table.
+    """
+
+    __slots__ = ("rows", "starts", "products", "index", "strings", "infos", "prefix")
+
+    def __init__(self, n: int, a: int, uncovered: int):
+        total = a**n
+        rows = None
+        if uncovered:
+            rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
+            covered = sum(size * count for _, _, size, count in rows)
+            if covered < total - uncovered:
+                rows = None
+        if rows is None:
+            rows = _partition_rows(n, a)
+            covered = sum(size * count for _, _, size, count in rows)
+            if covered != total:
+                raise AssertionError("group totals disagree with a**n")
+        # Stable: partitions stay ascending inside each tie group.
+        rows.sort(key=itemgetter(0), reverse=True)
+
+        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+        products, starts, strings, infos = [], [], [], []
+        for i, (product, part, size, count) in enumerate(rows):
+            if products and product == products[-1]:
+                strings[-1] += size * count
+                continue
+            products.append(product)
+            starts.append(i)
+            strings.append(size * count)
+            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
+            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
+        starts.append(len(rows))
+        self.rows = rows
+        self.starts = starts
+        self.products = products
+        self.index = {p: i for i, p in enumerate(products)}
+        self.strings = strings
+        self.infos = np.array(infos, dtype=np.float64)
+        self.prefix = list(accumulate(strings, initial=total - covered))
+
+    @property
+    def base(self) -> int:
+        return self.prefix[0]
+
+    def group_rows(self, gi: int) -> list[tuple[int, tuple[int, ...], int, int]]:
+        return self.rows[self.starts[gi] : self.starts[gi + 1]]
+
+
 def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
     """The last count strings of the order of (n, a), one tie group at a time.
 
     The mirror of ClassOrder.head, read without building the order: the
     highest-content strings lie on the few partitions of smallest order
-    product, so the partition walk keeps only the rows up to a product
-    limit, widened from 2**8 times the least product until the kept rows
-    hold count strings.  Every kept tie group is whole, since its rows
-    share one product.  Returns the information contents of the groups,
-    highest first, and how many strings each gives: all of its strings,
-    except for the last group, which the cut may split.
+    product, so only the tail that holds count strings is walked.  Returns
+    the information contents of the groups, highest first, and how many
+    strings each gives: all of its strings, except for the last group,
+    which the cut may split.
     """
     if not 0 < count <= a**n:
         raise ValueError(f"string count {count} out of range")
     check_composition_cap(n, a)
-    least_product = _even_split_product(n, a)
-    shift = 8
-    rows = _partition_rows(n, a, least_product << shift)
-    while sum(size * classes for _, _, size, classes in rows) < count:
-        shift *= 2
-        rows = _partition_rows(n, a, least_product << shift)
-    # Stable: partitions stay ascending inside each tie group, as in
-    # ClassOrder, so each group's content comes from the same partition.
-    rows.sort(key=itemgetter(0))
-
-    xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-    infos, taken = [], []
-    for _, group in groupby(rows, key=itemgetter(0)):
-        group = list(group)
-        strings = sum(size * classes for _, _, size, classes in group)
-        # ClassOrder's sum over the group's first partition: the same bits.
-        infos.append(xlogx[n] - math.fsum([xlogx[c] for c in group[0][1] if c > 1]))
-        taken.append(min(strings, count))
-        count -= taken[-1]
-        if not count:
-            break
-    return infos, taken
+    start = a**n - count
+    table = _Table(n, a, start)
+    g = bisect_right(table.prefix, start) - 1
+    taken = table.strings[g:][::-1]
+    taken[-1] = table.prefix[g + 1] - start
+    return table.infos[g:][::-1].tolist(), taken
 
 
 def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
@@ -317,13 +386,23 @@ class ClassOrder:
     """The exact total order over all compositions of n into a parts.
 
     Storage and build time scale with the number of partitions of n.  The
-    build walks the partitions once into a flat row table (see
-    _partition_rows), sorted by order product descending with partitions
-    ascending inside a tie.  A tie group is a maximal run of rows sharing one
-    exact order product (hence one information content); per group the order
-    keeps the product, the row offset, the information content and the exact
-    string total with its prefix sums, so rank and selection queries read one
+    build walks the partitions into a flat row table (see _partition_rows),
+    sorted by order product descending with partitions ascending inside a
+    tie.  A tie group is a maximal run of rows sharing one exact order
+    product (hence one information content); per group the order keeps the
+    product, the row offset, the information content and the exact string
+    total with its prefix sums, so rank and selection queries read one
     group's row slice and never materialize the composition list.
+
+    The order is built as its high-content tail first: the rows up to a
+    product limit that leaves out at most a**n >> 20 strings (see _Table),
+    so a random string almost always lies in it.  A rank or selection query
+    that falls below the tail completes the order with one walk over every
+    partition; so does every reader of the whole order (group_of, head,
+    info_at, iter_classes and the group_* tables), whose answers and group
+    indices are those of the complete order.  Completion runs under a lock
+    and replaces the table as one reference, so a concurrent query reads
+    either the tail or the complete table, never a mix.
     """
 
     def __init__(self, n: int, a: int):
@@ -333,50 +412,59 @@ class ClassOrder:
         self.n = n
         self.alphabet_size = a
         self.total_strings = a**n
+        self._lock = threading.Lock()
+        self._table = _Table(n, a, self.total_strings >> 20)
 
-        self._rows = rows = _partition_rows(n, a)
-        # Stable: partitions stay ascending inside each tie group.
-        rows.sort(key=itemgetter(0), reverse=True)
+    def _complete(self) -> _Table:
+        """The complete table, built on first need."""
+        table = self._table
+        if table.base:
+            with self._lock:
+                table = self._table
+                if table.base:
+                    table = self._table = _Table(self.n, self.alphabet_size, 0)
+        return table
 
-        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        products, starts, strings, infos = [], [], [], []
-        for i, (product, part, size, count) in enumerate(rows):
-            if products and product == products[-1]:
-                strings[-1] += size * count
-                continue
-            products.append(product)
-            starts.append(i)
-            strings.append(size * count)
-            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
-            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
-        starts.append(len(rows))
-        self.group_products = products
-        self._group_start = starts
-        self._group_index = {p: i for i, p in enumerate(products)}
-        self.group_string_totals = strings
-        self.group_infos = np.array(infos, dtype=np.float64)
+    @property
+    def group_products(self) -> list[int]:
+        """Order product of each tie group, descending."""
+        return self._complete().products
 
-        self._string_prefix = list(accumulate(self.group_string_totals, initial=0))
-        if self._string_prefix[-1] != self.total_strings:
-            raise AssertionError("group totals disagree with a**n")
+    @property
+    def group_string_totals(self) -> list[int]:
+        """Number of strings in each tie group."""
+        return self._complete().strings
 
-    def _group_rows(self, gi: int) -> list[tuple[int, tuple[int, ...], int, int]]:
-        return self._rows[self._group_start[gi] : self._group_start[gi + 1]]
+    @property
+    def group_infos(self) -> np.ndarray:
+        """Information content of each tie group, ascending."""
+        return self._complete().infos
 
     @property
     def group_partitions(self) -> list[list[tuple[int, ...]]]:
         """Partitions of each tie group, ascending."""
-        rows, starts = self._rows, self._group_start
+        table = self._complete()
+        rows, starts = table.rows, table.starts
         return [[row[1] for row in rows[s:e]] for s, e in zip(starts, starts[1:])]
 
     # -- lookups ---------------------------------------------------------
 
+    def _group(self, counts: Sequence[int]) -> tuple[_Table, int]:
+        """The table holding the composition's tie group, and its index there."""
+        product = order_product(counts)
+        table = self._table
+        gi = table.index.get(product)
+        if gi is None:
+            table = self._complete()
+            gi = table.index.get(product)
+            if gi is None:
+                raise ValueError(f"{tuple(counts)} is not a composition of n={self.n}")
+        return table, gi
+
     def group_of(self, counts: Sequence[int]) -> int:
         """Index of the tie group containing the composition."""
-        try:
-            return self._group_index[order_product(counts)]
-        except KeyError:
-            raise ValueError(f"{tuple(counts)} is not a composition of n={self.n}")
+        self._complete()
+        return self._group(counts)[1]
 
     def _checked(self, counts: Sequence[int]) -> tuple[int, ...]:
         counts = tuple(counts)
@@ -389,9 +477,9 @@ class ClassOrder:
     def strings_before_class(self, counts: Sequence[int]) -> int:
         """Exact number of strings ranked before the first string of the class."""
         counts = self._checked(counts)
-        gi = self.group_of(counts)
-        total = self._string_prefix[gi]
-        for _, part, size, count in self._group_rows(gi):
+        table, gi = self._group(counts)
+        total = table.prefix[gi]
+        for _, part, size, count in table.group_rows(gi):
             remaining = _padded_multiset(part, self.alphabet_size)
             total += size * _lex_rank(counts, remaining, count)
         return total
@@ -400,8 +488,11 @@ class ClassOrder:
         """Composition holding the index-th string overall, plus the offset within it."""
         if not 0 <= index < self.total_strings:
             raise ValueError(f"string index {index} out of range")
-        gi = bisect_right(self._string_prefix, index) - 1
-        return self._select_in_group(gi, index - self._string_prefix[gi])
+        table = self._table
+        if index < table.base:
+            table = self._complete()
+        gi = bisect_right(table.prefix, index) - 1
+        return self._select_in_group(table, gi, index - table.prefix[gi])
 
     def head(self, count: int) -> tuple[np.ndarray, list[int]]:
         """The first count strings of the order, one tie group at a time.
@@ -412,24 +503,26 @@ class ClassOrder:
         """
         if not 0 < count <= self.total_strings:
             raise ValueError(f"string count {count} out of range")
-        g = bisect_left(self._string_prefix, count)
-        taken = self.group_string_totals[: g - 1]
-        taken.append(count - self._string_prefix[g - 1])
-        return self.group_infos[:g], taken
+        table = self._complete()
+        g = bisect_left(table.prefix, count)
+        taken = table.strings[: g - 1]
+        taken.append(count - table.prefix[g - 1])
+        return table.infos[:g], taken
 
     def info_at(self, index: int) -> float:
         """Information content of the string at the given position."""
         if not 0 <= index < self.total_strings:
             raise ValueError(f"string index {index} out of range")
-        gi = bisect_right(self._string_prefix, index) - 1
-        return float(self.group_infos[gi])
+        table = self._complete()
+        gi = bisect_right(table.prefix, index) - 1
+        return float(table.infos[gi])
 
-    def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
+    def _select_in_group(self, table: _Table, gi: int, t: int) -> tuple[tuple[int, ...], int]:
         # Per row still consistent with the vector so far: its remaining
         # multiset, class size, and number of arrangements of the multiset.
         active = [
             (_padded_multiset(part, self.alphabet_size), size, count)
-            for _, part, size, count in self._group_rows(gi)
+            for _, part, size, count in table.group_rows(gi)
         ]
         vector: list[int] = []
         slots = self.alphabet_size
@@ -470,13 +563,13 @@ class ClassOrder:
         """(composition, class size) pairs of one tie group, lex ascending."""
         streams = [
             zip(_lex_vectors(part, self.alphabet_size), repeat(size))
-            for _, part, size, _ in self._group_rows(gi)
+            for _, part, size, _ in self._complete().group_rows(gi)
         ]
         yield from heapq.merge(*streams, key=itemgetter(0))
 
     def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every (composition, class size) pair in exact order."""
-        for gi in range(len(self.group_products)):
+        for gi in range(len(self._complete().products)):
             yield from self._iter_group_classes(gi)
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from setshaping import compositions
 from setshaping import (
     BlockLengthError,
     InvalidSymbolError,
@@ -186,6 +187,31 @@ class TestShapingMap:
         x = data.draw(st.lists(st.integers(min_value=0, max_value=a - 1), min_size=n, max_size=n))
         y = shape(x, params)
         assert list(unshape(y, params)) == x
+
+
+class TestTailOrders:
+    """Random blocks are served by the tails of the two orders they use."""
+
+    def test_seeded_blocks_walk_no_partitions_after_the_builds(self, monkeypatch):
+        monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
+        for a in (3, 5):
+            class_order(100, a)
+            class_order(101, a)
+        walks = []
+        walk = compositions._partition_rows
+        monkeypatch.setattr(
+            compositions, "_partition_rows", lambda *args: walks.append(args) or walk(*args)
+        )
+        # seeded as the stream-roundtrip benchmark seeds its blocks
+        for seed in range(5):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            for a in (3, 5):
+                params = ShapingParameters(a, 100, 1)
+                for _ in range(1000):
+                    x = tuple(int(v) for v in rng.integers(0, a, size=100))
+                    assert unshape(shape(x, params), params) == x
+        assert walks == []
+        assert all(class_order(n, a)._table.base for a in (3, 5) for n in (100, 101))
 
 
 class TestGolden:

@@ -1,8 +1,10 @@
 """Exact composition order: products, weights, tie groups, selection."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from setshaping import (
     order_product,
 )
 from setshaping.compositions import (
+    _Table,
     _even_split_product,
     _partition_rows,
     check_composition_cap,
@@ -30,6 +33,16 @@ def compositions():
             lambda n: st.sampled_from(list(oracles.compositions(n, a)))
         )
     )
+
+
+def counted_walks(monkeypatch):
+    """The limit of each partition walk from here on, () for a walk over every row."""
+    walks = []
+    monkeypatch.setattr(
+        "setshaping.compositions._partition_rows",
+        lambda *args: walks.append(args[2:]) or _partition_rows(*args),
+    )
+    return walks
 
 
 def library_compare(c1, c2):
@@ -388,12 +401,18 @@ class TestTopGroups:
             assert 0 < taken[-1] <= totals[g - 1]
             assert sum(taken) == count
 
-    def test_widens_past_the_first_limit(self):
-        # at (12, 2) the products span 12**12 / 6**12 = 2**12 > 2**8
+    def test_widens_past_the_first_limit(self, monkeypatch):
+        # a first limit that holds too few strings falls back to every row
         order = ClassOrder(12, 2)
-        infos, taken = top_groups(12, 2, 2**12)
+        monkeypatch.setattr(
+            "setshaping.compositions._cover_limit", lambda n, a, _: _even_split_product(n, a)
+        )
+        walks = counted_walks(monkeypatch)
+        infos, taken = top_groups(12, 2, 2**12 - 1)
+        assert walks == [(_even_split_product(12, 2),), ()]
+        totals = order.group_string_totals[::-1]
         assert infos == order.group_infos.tolist()[::-1]
-        assert taken == order.group_string_totals[::-1]
+        assert taken == totals[:-1] + [totals[-1] - 1]
 
     def test_count_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -407,6 +426,105 @@ class TestTopGroups:
             top_groups(9, 3, 1)
         monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
         assert sum(top_groups(9, 3, 1)[1]) == 1
+
+
+class TestTail:
+    """An order built as its high-content tail answers as the complete order."""
+
+    @staticmethod
+    def probes(n, a, base):
+        """Count vectors and string indices at both ends of the order and at the cut."""
+        q, extra = divmod(n, a)
+        balanced = set(permutations((q + 1,) * extra + (q,) * (a - extra)))
+        ends = [(n,) + (0,) * (a - 1), (0,) * (a - 1) + (n,)]
+        below = [0, a ** (n - 1)] + [base - 1] * (base > 0)
+        return sorted(balanced), ends, [base, a**n - 1], below
+
+    # (13, 3) may leave out one string, fewer than its lowest-content tie
+    # group holds, so it is built complete at once
+    @pytest.mark.parametrize("n, a", [(13, 3), (40, 3), (30, 4), (101, 5)])
+    def test_answers_equal_the_complete_order(self, n, a):
+        complete = ClassOrder(n, a)
+        complete._complete()
+        base = ClassOrder(n, a)._table.base
+        assert (base > 0) == (n > 13)
+        assert base <= a**n >> 20
+        balanced, ends, tail_indices, head_indices = self.probes(n, a, base)
+
+        def check(order, vectors, indices):
+            for counts in vectors:
+                assert order.strings_before_class(counts) == complete.strings_before_class(counts)
+            for index in indices:
+                assert order.locate_string(index) == complete.locate_string(index)
+
+        # a rank, or a selection, below the cut completes the order
+        for vectors, indices in ((ends, []), ([], head_indices)):
+            order = ClassOrder(n, a)
+            check(order, balanced, tail_indices)
+            assert order._table.base == base
+            check(order, vectors, indices)
+            assert order._table.base == 0
+            check(order, balanced + ends, tail_indices + head_indices)
+            assert order.group_products == complete.group_products
+
+    @pytest.mark.parametrize("n, a", [(40, 3), (30, 4), (101, 5)])
+    def test_tail_is_a_suffix_of_the_complete_table(self, n, a):
+        tail = _Table(n, a, a**n >> 20)
+        full = _Table(n, a, 0)
+        assert tail.base > 0
+        g = len(tail.products)
+        assert tail.rows == full.rows[-len(tail.rows) :]
+        assert tail.products == full.products[-g:]
+        assert tail.strings == full.strings[-g:]
+        assert tail.infos.tolist() == full.infos[-g:].tolist()
+        assert tail.prefix == full.prefix[-g - 1 :]
+
+    @pytest.mark.parametrize("n, a", [(100, 3), (101, 3), (100, 5), (101, 5)])
+    def test_tail_takes_one_walk(self, n, a, monkeypatch):
+        limits = counted_walks(monkeypatch)
+        order = ClassOrder(n, a)
+        assert len(limits) == 1 and limits[0] != ()
+        assert 0 < order._table.base <= a**n >> 20
+
+    def test_threads_complete_one_shared_order_once(self, monkeypatch):
+        n, a = 101, 5
+        reference = ClassOrder(n, a)
+        reference._complete()
+        walks = counted_walks(monkeypatch)
+        order = ClassOrder(n, a)
+        balanced, ends, tail_indices, head_indices = self.probes(n, a, order._table.base)
+        vectors, indices = balanced + ends, tail_indices + head_indices
+        want = (
+            [reference.strings_before_class(v) for v in vectors],
+            [reference.locate_string(i) for i in indices],
+        )
+        results, errors = [], []
+
+        def worker(shift):
+            try:
+                # each thread starts at a different probe, some below the cut
+                vs, ix = vectors[shift:] + vectors[:shift], indices[shift:] + indices[:shift]
+                got = dict(zip(vs, map(order.strings_before_class, vs)))
+                found = dict(zip(ix, map(order.locate_string, ix)))
+                results.append(([got[v] for v in vectors], [found[i] for i in indices]))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [want] * 8
+        # the tail walk, then one completion shared by every thread
+        assert len(walks) == 2 and walks[1] == ()
 
 
 class TestGroupTableOracle:

@@ -203,6 +203,20 @@ class TestShapedAverage:
         shaped_average_info_exact(5, 100, 1)
         assert 0 < sum(kept) < 5000
 
+    def test_table2_rows_take_one_walk(self, monkeypatch):
+        # the first limit holds the left-out strings at every alphabet, with
+        # the cap raised as criterion 3 raises it
+        monkeypatch.setattr(compositions, "DEFAULT_COMPOSITION_CAP", math.comb(110, 9))
+        limits = []
+        walk = compositions._partition_rows
+        monkeypatch.setattr(
+            compositions, "_partition_rows", lambda *args: limits.append(args[2:]) or walk(*args)
+        )
+        for a in range(2, 11):
+            limits.clear()
+            shaped_average_info_exact(a, 100, 1)
+            assert len(limits) == 1 and limits[0] != (), a
+
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("k", [1, 2])
