@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import ClassOrder, check_composition_cap, class_order, top_groups
+from .compositions import ClassOrder, _whole_order, check_composition_cap, top_groups
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
@@ -179,7 +179,7 @@ def shaped_average_info_exact(a: int, n: int, k: int) -> float:
         mean = a**k * average_info_exact(SourceEnsemble.uniform(a), length) - left_out
         if a**k * length * math.log2(length) <= _TOP_ROUTE_RATIO * mean:
             return mean
-    return _head_mean(class_order(length, a), count)
+    return _head_mean(_whole_order(length, a), count)
 
 
 def shaped_average_info(
@@ -201,8 +201,8 @@ def shaped_average_info(
     if ensemble.is_uniform and interpretation == "empirical":
         return shaped_average_info_exact(a, n, k)
 
-    order_x = class_order(n, a)
-    order_y = class_order(n + k, a)
+    order_x = _whole_order(n, a)
+    order_y = _whole_order(n + k, a)
     probs = ensemble.probabilities
 
     def x_runs() -> Iterator[tuple[int, float]]:
@@ -226,27 +226,30 @@ def shaped_average_info(
                     value -= c * math.log2(p)
                 yield size, value
 
-    ln2 = math.log(2.0)
-    terms = []
-    ys = y_runs()
-    y_len, y_info = next(ys)
-    for x_len, log_p in x_runs():
-        while x_len:
-            if y_len == 0:
-                y_len, y_info = next(ys)
-                continue
-            take = x_len if x_len <= y_len else y_len
-            # Past 2**960 strings, move 2**s from the count into the
-            # probability's exponent: the count stays in float range and the
-            # probability out of the subnormals.  With s = 0 the factors are
-            # float(take) and exp(log_p).
-            s = max(take.bit_length() - 960, 0)
-            weight = math.exp(log_p + s * ln2)
-            if weight != 0.0:
-                terms.append(take / (1 << s) * weight * y_info)
-            x_len -= take
-            y_len -= take
-    return math.fsum(terms)
+    def terms() -> Iterator[float]:
+        ln2 = math.log(2.0)
+        ys = y_runs()
+        y_len, y_info = next(ys)
+        for x_len, log_p in x_runs():
+            while x_len:
+                if y_len == 0:
+                    y_len, y_info = next(ys)
+                    continue
+                take = x_len if x_len <= y_len else y_len
+                # Past 2**960 strings, move 2**s from the count into the
+                # probability's exponent: the count stays in float range and
+                # the probability out of the subnormals.  With s = 0 the
+                # factors are float(take) and exp(log_p).
+                s = max(take.bit_length() - 960, 0)
+                weight = math.exp(log_p + s * ln2)
+                if weight != 0.0:
+                    yield take / (1 << s) * weight * y_info
+                x_len -= take
+                y_len -= take
+
+    # fsum is correctly rounded, so summing the terms as they come, without
+    # a list of them, gives the same bits.
+    return math.fsum(terms())
 
 
 def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +267,7 @@ def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         )
 
     def series(length: int) -> np.ndarray:
-        infos, taken = class_order(length, a).head(total)
+        infos, taken = _whole_order(length, a).head(total)
         return np.repeat(infos, np.array(taken, dtype=np.int64))
 
     return series(n), series(n + k)

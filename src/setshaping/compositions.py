@@ -19,8 +19,13 @@ ClassOrder therefore aggregates by partition of n and only expands individual
 count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
 while staying exact.  One depth-first walk over the partitions yields a flat
-table of (product, partition, class size, class count) rows; one stable sort
-and one pass over it give the tie groups.  Given a product limit, the same
+list of (product, partition, string total) rows; one stable sort by the exact
+products and one pass over it give the tie groups.  The table kept from them
+holds no products and no class sizes: a small-int matrix of the partitions
+and, per tie group, its first row, its information content and the exact
+number of strings before it, about 100 bytes a row at n=101, a=5 against
+570 with the rows kept whole.  Class sizes and class counts are recomputed
+for the one group a query reads.  Given a product limit, the same
 walk keeps only the rows at or below it: the high-content end of the order,
 where nearly every string lies.  ClassOrder starts from that tail, holding
 all but at most 2**-20 of the strings, and walks every partition only when
@@ -33,8 +38,9 @@ from __future__ import annotations
 import heapq
 import math
 import threading
+from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -93,13 +99,13 @@ def _even_split_product(r: int, s: int) -> int:
 
 def _partition_rows(
     n: int, a: int, limit: int | None = None
-) -> list[tuple[int, tuple[int, ...], int, int]]:
+) -> list[tuple[int, tuple[int, ...], int]]:
     """One row per partition of n into at most a parts, partitions lex ascending.
 
-    A row is (order product, partition, class size, class count): the class
-    size is the multinomial n!/prod(c!) and the class count is the number of
-    distinct a-length count vectors that sort to the partition,
-    perm(a, len) / prod(multiplicity!).  The depth-first walk carries the
+    A row is (order product, partition, strings): strings counts the strings
+    of every class of the partition, its class size n!/prod(c!) times its
+    class count, the number of distinct a-length count vectors that sort to
+    it, perm(a, len) / prod(multiplicity!).  The depth-first walk carries the
     product, the factorial denominator and the multiplicity factorials down
     the recursion, so siblings share their prefix's work.
 
@@ -118,7 +124,7 @@ def _partition_rows(
         least = [[1]] + [
             [_even_split_product(r, s) for r in range(n + 1)] for s in range(1, a)
         ]
-    rows: list[tuple[int, tuple[int, ...], int, int]] = []
+    rows: list[tuple[int, tuple[int, ...], int]] = []
 
     def walk(prefix, rest, slots, top, prod, den, mult_den, run):
         # top bounds the next part and is the last part placed, whose run
@@ -131,11 +137,13 @@ def _partition_rows(
             c_run = run + 1 if c == top else 1
             d, md = den * fact[c], mult_den * c_run
             if c == rest:
-                rows.append((p, part, fact[n] // d, perms[len(part)] // md))
+                rows.append((p, part, fact[n] // d * (perms[len(part)] // md)))
             else:
                 walk(part, rest - c, slots - 1, c, p, d, md, c_run)
 
     walk((), n, a, n, 1, 1, 1, 0)
+    # walk refers to itself; dropping it frees it, and so rows, with the caller.
+    del walk
     return rows
 
 
@@ -171,56 +179,96 @@ class _Table:
     row.  Rows are in the order's layout: product descending, partitions
     ascending inside a tie.  The limit is an exact product, so a tail is an
     exact suffix of the complete table and each of its tie groups is whole.
-    Per group the table keeps the product, the row offset, the information
-    content and the string total, and prefix[g] counts the strings before
-    group g in the whole order: prefix[0], the base, is the number before
-    the tail, 0 for the complete table.
+
+    The exact products sort the rows and split them into groups while the
+    table is built; the table keeps neither them nor any class size.  It
+    keeps the partitions, one row each of `parts`, a small-int matrix with
+    min(n, a) columns padded with zeros, and per tie group its first row in
+    `starts`, its information content in `infos` and, in `prefix`, the exact
+    number of strings before it in the whole order: prefix[0], the base, is
+    the number before the tail, 0 for the complete table.  A partition is
+    looked up by its bytes: `keys` holds every row's bytes sorted and
+    `key_groups` the group of each.  A query recomputes the class sizes and
+    class counts of the one group it reads (see _group_classes).
     """
 
-    __slots__ = ("rows", "starts", "products", "index", "strings", "infos", "prefix")
+    __slots__ = ("parts", "starts", "infos", "prefix", "keys", "key_groups")
 
     def __init__(self, n: int, a: int, uncovered: int):
         total = a**n
         rows = None
         if uncovered:
             rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
-            covered = sum(size * count for _, _, size, count in rows)
+            covered = sum(row[2] for row in rows)
             if covered < total - uncovered:
                 rows = None
         if rows is None:
             rows = _partition_rows(n, a)
-            covered = sum(size * count for _, _, size, count in rows)
+            covered = sum(row[2] for row in rows)
             if covered != total:
                 raise AssertionError("group totals disagree with a**n")
         # Stable: partitions stay ascending inside each tie group.
         rows.sort(key=itemgetter(0), reverse=True)
 
         xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        products, starts, strings, infos = [], [], [], []
-        for i, (product, part, size, count) in enumerate(rows):
-            if products and product == products[-1]:
-                strings[-1] += size * count
+        # Arrays, not lists, so that no per-group int or float outlives the
+        # build's transient rows in the allocator's pools.
+        starts, infos, prefix = array("q"), array("d"), [total - covered]
+        last = None
+        for i, (product, part, strings) in enumerate(rows):
+            if product == last:
+                prefix[-1] += strings
                 continue
-            products.append(product)
+            last = product
             starts.append(i)
-            strings.append(size * count)
             # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
             infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
+            prefix.append(prefix[-1] + strings)
         starts.append(len(rows))
-        self.rows = rows
-        self.starts = starts
-        self.products = products
-        self.index = {p: i for i, p in enumerate(products)}
-        self.strings = strings
+
+        cols = min(n, a)
+        pad = (0,) * cols
+        parts = np.fromiter(
+            chain.from_iterable(part + pad[len(part) :] for _, part, _ in rows),
+            dtype=np.min_scalar_type(n),
+            count=len(rows) * cols,
+        ).reshape(len(rows), cols)
+        del rows
+        self.parts = parts
+        self.starts = np.array(starts, dtype=np.min_scalar_type(len(parts)))
         self.infos = np.array(infos, dtype=np.float64)
-        self.prefix = list(accumulate(strings, initial=total - covered))
+        self.prefix = prefix
+        # Each row's bytes as one fixed-width string.  Numpy drops trailing
+        # zero bytes when it reads one out, and so does find.
+        keys = parts.view(np.dtype((np.bytes_, cols * parts.itemsize)))[:, 0]
+        by_key = np.argsort(keys, kind="stable")
+        groups = np.repeat(
+            np.arange(len(infos), dtype=np.min_scalar_type(len(infos))), np.diff(self.starts)
+        )
+        self.keys = keys[by_key]
+        self.key_groups = groups[by_key]
 
     @property
     def base(self) -> int:
         return self.prefix[0]
 
-    def group_rows(self, gi: int) -> list[tuple[int, tuple[int, ...], int, int]]:
-        return self.rows[self.starts[gi] : self.starts[gi + 1]]
+    def find(self, partition: Sequence[int]) -> int | None:
+        """Tie group of a partition (nonzero parts, descending), None if absent."""
+        key = array(self.parts.dtype.char, partition).tobytes().rstrip(b"\0")
+        i = int(self.keys.searchsorted(key))
+        if i < len(self.keys) and self.keys.item(i) == key:
+            return self.key_groups.item(i)
+        return None
+
+    def partitions(self, gi: int) -> list[tuple[int, ...]]:
+        """The partitions of tie group gi, ascending, without their zero padding."""
+        rows = self.parts[self.starts.item(gi) : self.starts.item(gi + 1)].tolist()
+        return [tuple(filter(None, row)) for row in rows]
+
+    def totals(self, lo: int, hi: int) -> list[int]:
+        """Number of strings in each tie group from lo up to hi."""
+        prefix = self.prefix
+        return [prefix[g + 1] - prefix[g] for g in range(lo, hi)]
 
 
 def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
@@ -239,7 +287,7 @@ def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
     start = a**n - count
     table = _Table(n, a, start)
     g = bisect_right(table.prefix, start) - 1
-    taken = table.strings[g:][::-1]
+    taken = table.totals(g, len(table.infos))[::-1]
     taken[-1] = table.prefix[g + 1] - start
     return table.infos[g:][::-1].tolist(), taken
 
@@ -386,13 +434,14 @@ class ClassOrder:
     """The exact total order over all compositions of n into a parts.
 
     Storage and build time scale with the number of partitions of n.  The
-    build walks the partitions into a flat row table (see _partition_rows),
-    sorted by order product descending with partitions ascending inside a
-    tie.  A tie group is a maximal run of rows sharing one exact order
-    product (hence one information content); per group the order keeps the
-    product, the row offset, the information content and the exact string
-    total with its prefix sums, so rank and selection queries read one
-    group's row slice and never materialize the composition list.
+    build walks the partitions (see _partition_rows), sorts them by exact
+    order product descending with partitions ascending inside a tie, and
+    keeps them in a compact table (see _Table).  A tie group is a maximal
+    run of rows sharing one exact order product (hence one information
+    content); per group the order keeps the first row, the information
+    content and the exact prefix sum of the string totals, so rank and
+    selection queries read one group's partitions, recompute their class
+    sizes and class counts, and never materialize the composition list.
 
     The order is built as its high-content tail first: the rows up to a
     product limit that leaves out at most a**n >> 20 strings (see _Table),
@@ -406,6 +455,16 @@ class ClassOrder:
     """
 
     def __init__(self, n: int, a: int):
+        self._build(n, a, whole=False)
+
+    @classmethod
+    def _whole(cls, n: int, a: int) -> ClassOrder:
+        """The order built complete at once, with one walk over every partition."""
+        order = cls.__new__(cls)
+        order._build(n, a, whole=True)
+        return order
+
+    def _build(self, n: int, a: int, whole: bool) -> None:
         if n < 1 or a < 1:
             raise ValueError("need n >= 1 and a >= 1")
         check_composition_cap(n, a)
@@ -413,7 +472,7 @@ class ClassOrder:
         self.alphabet_size = a
         self.total_strings = a**n
         self._lock = threading.Lock()
-        self._table = _Table(n, a, self.total_strings >> 20)
+        self._table = _Table(n, a, 0 if whole else self.total_strings >> 20)
 
     def _complete(self) -> _Table:
         """The complete table, built on first need."""
@@ -425,15 +484,23 @@ class ClassOrder:
                     table = self._table = _Table(self.n, self.alphabet_size, 0)
         return table
 
+    def _rows(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Every partition of the complete order, and each group's first row."""
+        table = self._complete()
+        parts = [tuple(filter(None, row)) for row in table.parts.tolist()]
+        return parts, table.starts.tolist()
+
     @property
     def group_products(self) -> list[int]:
         """Order product of each tie group, descending."""
-        return self._complete().products
+        parts, starts = self._rows()
+        return [order_product(parts[s]) for s in starts[:-1]]
 
     @property
     def group_string_totals(self) -> list[int]:
         """Number of strings in each tie group."""
-        return self._complete().strings
+        table = self._complete()
+        return table.totals(0, len(table.infos))
 
     @property
     def group_infos(self) -> np.ndarray:
@@ -443,26 +510,45 @@ class ClassOrder:
     @property
     def group_partitions(self) -> list[list[tuple[int, ...]]]:
         """Partitions of each tie group, ascending."""
-        table = self._complete()
-        rows, starts = table.rows, table.starts
-        return [[row[1] for row in rows[s:e]] for s, e in zip(starts, starts[1:])]
+        parts, starts = self._rows()
+        return [parts[s:e] for s, e in zip(starts, starts[1:])]
 
     # -- lookups ---------------------------------------------------------
 
-    def _group(self, counts: Sequence[int]) -> tuple[_Table, int]:
-        """The table holding the composition's tie group, and its index there."""
-        product = order_product(counts)
+    def _group(self, counts: tuple[int, ...]) -> tuple[_Table, int]:
+        """The table holding the checked composition's tie group, and its index there."""
+        partition = sorted(filter(None, counts), reverse=True)
         table = self._table
-        gi = table.index.get(product)
+        gi = table.find(partition)
         if gi is None:
             table = self._complete()
-            gi = table.index.get(product)
+            gi = table.find(partition)
             if gi is None:
-                raise ValueError(f"{tuple(counts)} is not a composition of n={self.n}")
+                raise AssertionError(f"{counts} is missing from the order")
         return table, gi
+
+    def _group_classes(self, table: _Table, gi: int) -> list[tuple[dict[int, int], int, int]]:
+        """(padded multiset, class size, class count) of each partition of a tie group.
+
+        The class count is the number of distinct arrangements of the padded
+        multiset.  The class size is multinomial(partition), or, in a group
+        of one partition, the group's string total over the class count.
+        """
+        parts = table.partitions(gi)
+        out = []
+        for part in parts:
+            remaining = _padded_multiset(part, self.alphabet_size)
+            count = multinomial(remaining.values())
+            if len(parts) == 1:
+                size = (table.prefix[gi + 1] - table.prefix[gi]) // count
+            else:
+                size = multinomial(part)
+            out.append((remaining, size, count))
+        return out
 
     def group_of(self, counts: Sequence[int]) -> int:
         """Index of the tie group containing the composition."""
+        counts = self._checked(counts)
         self._complete()
         return self._group(counts)[1]
 
@@ -479,8 +565,7 @@ class ClassOrder:
         counts = self._checked(counts)
         table, gi = self._group(counts)
         total = table.prefix[gi]
-        for _, part, size, count in table.group_rows(gi):
-            remaining = _padded_multiset(part, self.alphabet_size)
+        for remaining, size, count in self._group_classes(table, gi):
             total += size * _lex_rank(counts, remaining, count)
         return total
 
@@ -505,7 +590,7 @@ class ClassOrder:
             raise ValueError(f"string count {count} out of range")
         table = self._complete()
         g = bisect_left(table.prefix, count)
-        taken = table.strings[: g - 1]
+        taken = table.totals(0, g - 1)
         taken.append(count - table.prefix[g - 1])
         return table.infos[:g], taken
 
@@ -520,10 +605,7 @@ class ClassOrder:
     def _select_in_group(self, table: _Table, gi: int, t: int) -> tuple[tuple[int, ...], int]:
         # Per row still consistent with the vector so far: its remaining
         # multiset, class size, and number of arrangements of the multiset.
-        active = [
-            (_padded_multiset(part, self.alphabet_size), size, count)
-            for _, part, size, count in table.group_rows(gi)
-        ]
+        active = self._group_classes(table, gi)
         vector: list[int] = []
         slots = self.alphabet_size
         while slots:
@@ -562,14 +644,14 @@ class ClassOrder:
     def _iter_group_classes(self, gi: int) -> Iterator[tuple[tuple[int, ...], int]]:
         """(composition, class size) pairs of one tie group, lex ascending."""
         streams = [
-            zip(_lex_vectors(part, self.alphabet_size), repeat(size))
-            for _, part, size, _ in self._complete().group_rows(gi)
+            zip(_lex_vectors(part, self.alphabet_size), repeat(multinomial(part)))
+            for part in self._complete().partitions(gi)
         ]
         yield from heapq.merge(*streams, key=itemgetter(0))
 
     def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every (composition, class size) pair in exact order."""
-        for gi in range(len(self._complete().products)):
+        for gi in range(len(self._complete().infos)):
             yield from self._iter_group_classes(gi)
 
 
@@ -583,6 +665,21 @@ def class_order(n: int, a: int) -> ClassOrder:
     The composition cap is checked when the order is built, so a cached
     order has already passed it.
     """
+    return _cached_order(n, a, whole=False)
+
+
+def _whole_order(n: int, a: int) -> ClassOrder:
+    """class_order(n, a), complete: an order not yet cached takes one walk, in full.
+
+    For the readers of the whole order, which would otherwise walk the tail
+    and then every partition.
+    """
+    order = _cached_order(n, a, whole=True)
+    order._complete()
+    return order
+
+
+def _cached_order(n: int, a: int, whole: bool) -> ClassOrder:
     key = (n, a)
     order = _ORDER_CACHE.get(key)
     if order is not None:
@@ -590,7 +687,7 @@ def class_order(n: int, a: int) -> ClassOrder:
     with _ORDER_LOCK:
         order = _ORDER_CACHE.get(key)
         if order is None:
-            order = ClassOrder(n, a)
+            order = ClassOrder._whole(n, a) if whole else ClassOrder(n, a)
             _ORDER_CACHE[key] = order
     return order
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import threading
 from fractions import Fraction
 from itertools import islice, permutations, product
@@ -13,10 +14,14 @@ import oracles
 from setshaping import (
     ClassOrder,
     ResourceLimitError,
+    SourceEnsemble,
     class_order,
     empirical_information_content,
     multinomial,
     order_product,
+    rank_info_series,
+    shaped_average_info,
+    shaped_average_info_exact,
 )
 from setshaping.compositions import (
     _Table,
@@ -25,6 +30,11 @@ from setshaping.compositions import (
     check_composition_cap,
     top_groups,
 )
+
+
+# Bytes a tail row retains, with its share of the per-group arrays: 101
+# at (101, 5) with Python 3.11 and numpy 2.4.
+PER_ROW_LIMIT = 125
 
 
 def compositions():
@@ -289,6 +299,20 @@ class TestClassOrder:
             with pytest.raises(ValueError):
                 order.strings_before_class(counts)
 
+    def test_lookup_by_two_byte_parts(self):
+        # past n=255 the parts are stored in two bytes, so a partition's key
+        # holds zero bytes inside (256) and at its end
+        order = ClassOrder(300, 2)
+        products = order.group_products
+        tail = ClassOrder(300, 2)
+        # the tail first, then past it
+        for c in (150, 151, 160, 140, 256, 44, 0, 1, 299, 300):
+            counts = (c, 300 - c)
+            assert products[order.group_of(counts)] == order_product(counts)
+            start = tail.strings_before_class(counts)
+            assert start == order.strings_before_class(counts)
+            assert tail.locate_string(start) == (counts, 0)
+
     def test_iter_group_classes_is_lex_within_group(self):
         order = ClassOrder(16, 5)
         gi = order.group_of((4, 4, 4, 4, 0))
@@ -472,12 +496,18 @@ class TestTail:
         tail = _Table(n, a, a**n >> 20)
         full = _Table(n, a, 0)
         assert tail.base > 0
-        g = len(tail.products)
-        assert tail.rows == full.rows[-len(tail.rows) :]
-        assert tail.products == full.products[-g:]
-        assert tail.strings == full.strings[-g:]
+        g = len(tail.infos)
+        skipped_rows, skipped_groups = len(full.parts) - len(tail.parts), len(full.infos) - g
+        assert tail.parts.tolist() == full.parts[skipped_rows:].tolist()
+        assert [s + skipped_rows for s in tail.starts.tolist()] == full.starts[-g - 1 :].tolist()
         assert tail.infos.tolist() == full.infos[-g:].tolist()
         assert tail.prefix == full.prefix[-g - 1 :]
+        # the lookup finds every tail partition in the group the full table has
+        for gi in range(g):
+            for part in tail.partitions(gi):
+                assert tail.find(part) == gi
+                assert full.find(part) == gi + skipped_groups
+        assert tail.find(full.partitions(0)[0]) is None
 
     @pytest.mark.parametrize("n, a", [(100, 3), (101, 3), (100, 5), (101, 5)])
     def test_tail_takes_one_walk(self, n, a, monkeypatch):
@@ -485,6 +515,20 @@ class TestTail:
         order = ClassOrder(n, a)
         assert len(limits) == 1 and limits[0] != ()
         assert 0 < order._table.base <= a**n >> 20
+
+    def test_tail_retains_few_bytes_per_row(self):
+        # 10,658 rows; 572 bytes a row when each row held its bigint product,
+        # partition tuple, bigint class size and class count
+        _Table(101, 5, 5**101 >> 20)  # the imports of a first build stay out
+        tracemalloc.start()
+        try:
+            table = _Table(101, 5, 5**101 >> 20)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows = int(table.starts[-1])
+        assert rows == 10658
+        assert retained / rows < PER_ROW_LIMIT
 
     def test_threads_complete_one_shared_order_once(self, monkeypatch):
         n, a = 101, 5
@@ -525,6 +569,29 @@ class TestTail:
         assert results == [want] * 8
         # the tail walk, then one completion shared by every thread
         assert len(walks) == 2 and walks[1] == ()
+
+
+class TestWholeOrderReaders:
+    """A reader of the whole order walks each cold order once, in full."""
+
+    @pytest.mark.parametrize(
+        "read, orders",
+        [
+            (lambda: rank_info_series(2, 21, 1), 2),
+            (lambda: shaped_average_info(SourceEnsemble((0.1, 0.2, 0.3, 0.4)), 40, 1), 2),
+            # 2**11 is past the top route's ratio, so the mean is the head's
+            (lambda: shaped_average_info_exact(2, 12, 11), 1),
+        ],
+        ids=["rank_info_series", "shaped_average_info", "head_mean"],
+    )
+    def test_one_walk_per_order(self, read, orders, monkeypatch):
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        walks = counted_walks(monkeypatch)
+        first = read()
+        assert walks == [()] * orders
+        # then the orders are cached
+        assert repr(read()) == repr(first)
+        assert walks == [()] * orders
 
 
 class TestGroupTableOracle:
