@@ -192,13 +192,16 @@ def shaped_average_info(
     the probability weight, output classes carry the content.  Runs are
     intersected without expanding any strings; cost scales with the class
     counts of both lengths, so non-uniform sources are supported only at
-    enumerable scale.
+    enumerable scale.  Under a uniform source every length-(n+k) string has
+    literal content (n+k)*log2(a), and so has their mean.
     """
     if interpretation not in ("empirical", "literal"):
         raise ValueError(f"unknown interpretation {interpretation!r}")
     a = ensemble.alphabet_size
     _check_shaping(a, n, k)
-    if ensemble.is_uniform and interpretation == "empirical":
+    if ensemble.is_uniform:
+        if interpretation == "literal":
+            return (n + k) * math.log2(a)
         return shaped_average_info_exact(a, n, k)
 
     order_x = _whole_order(n, a)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -24,7 +23,7 @@ from .analyzer import (
     AverageReport,
     average_info_exact,
     rank_info_series,
-    shaped_average_info_exact,
+    shaped_average_info,
 )
 from .bijection import ShapingParameters, shape, string_rank, string_unrank, unshape
 from .codec import shaping_experiment
@@ -180,12 +179,9 @@ def cmd_table1(args) -> int:
     reports = []
     for a in range(2, 8):
         n, k = a, 1
-        if args.interpretation == "literal":
-            source = n * math.log2(a)
-            shaped = (n + k) * math.log2(a)
-        else:
-            source = average_info_exact(SourceEnsemble.uniform(a), n)
-            shaped = shaped_average_info_exact(a, n, k)
+        uniform = SourceEnsemble.uniform(a)
+        source = average_info_exact(uniform, n, args.interpretation)
+        shaped = shaped_average_info(uniform, n, k, args.interpretation)
         reports.append(AverageReport(a, n, k, source, shaped, method="exact"))
     _emit_records(_report_records(reports), TABLE_COLUMNS, args, digits=3)
     return 0
@@ -197,7 +193,12 @@ def cmd_table2(args) -> int:
     if args.interpretation == "literal":
         reports = [
             AverageReport(
-                a, n, k, n * math.log2(a), (n + k) * math.log2(a), method="exact"
+                a,
+                n,
+                k,
+                average_info_exact(SourceEnsemble.uniform(a), n, "literal"),
+                shaped_average_info(SourceEnsemble.uniform(a), n, k, "literal"),
+                method="exact",
             )
             for a in alphabets
         ]

@@ -27,10 +27,12 @@ number of strings before it, about 100 bytes a row at n=101, a=5 against
 570 with the rows kept whole.  Class sizes and class counts are recomputed
 for the one group a query reads.  Given a product limit, the same
 walk keeps only the rows at or below it: the high-content end of the order,
-where nearly every string lies.  ClassOrder starts from that tail, holding
-all but at most 2**-20 of the strings, and walks every partition only when
-a query falls below it; top_groups reads the highest-content strings from the
-same kind of tail.
+where nearly every string lies.  A ClassOrder is built as that tail, holding
+all but at most 2**-20 of the strings, and its table never changes: a query
+below the tail, and every reader of the whole order, reads the table of the
+shared complete order, which _whole_order builds with one walk over every
+partition.  top_groups reads the highest-content strings from the same kind
+of tail.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ class _Table:
     the number before the tail, 0 for the complete table.  A partition is
     looked up by its bytes: `keys` holds every row's bytes sorted and
     `key_groups` the group of each.  A query recomputes the class sizes and
-    class counts of the one group it reads (see _group_classes).
+    class counts of the one group it reads (see _group_classes).  A table is
+    never changed once built.
     """
 
     __slots__ = ("parts", "starts", "infos", "prefix", "keys", "key_groups")
@@ -265,10 +268,18 @@ class _Table:
         rows = self.parts[self.starts.item(gi) : self.starts.item(gi + 1)].tolist()
         return [tuple(filter(None, row)) for row in rows]
 
-    def totals(self, lo: int, hi: int) -> list[int]:
-        """Number of strings in each tie group from lo up to hi."""
+    def cut(self, lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
+        """The tie groups that strings lo..hi-1 of the order touch.
+
+        Returns their information contents and how many of those strings
+        each group holds: all of its strings, except at the two ends, which
+        the cut may split.  Needs base <= lo < hi <= a**n.
+        """
         prefix = self.prefix
-        return [prefix[g + 1] - prefix[g] for g in range(lo, hi)]
+        first = bisect_right(prefix, lo) - 1
+        end = bisect_left(prefix, hi)
+        bounds = [lo, *prefix[first + 1 : end], hi]
+        return self.infos[first:end], [y - x for x, y in zip(bounds, bounds[1:])]
 
 
 def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
@@ -285,11 +296,8 @@ def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
         raise ValueError(f"string count {count} out of range")
     check_composition_cap(n, a)
     start = a**n - count
-    table = _Table(n, a, start)
-    g = bisect_right(table.prefix, start) - 1
-    taken = table.totals(g, len(table.infos))[::-1]
-    taken[-1] = table.prefix[g + 1] - start
-    return table.infos[g:][::-1].tolist(), taken
+    infos, taken = _Table(n, a, start).cut(start, a**n)
+    return infos[::-1].tolist(), taken[::-1]
 
 
 def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
@@ -443,74 +451,46 @@ class ClassOrder:
     selection queries read one group's partitions, recompute their class
     sizes and class counts, and never materialize the composition list.
 
-    The order is built as its high-content tail first: the rows up to a
+    The order is built once, as its high-content tail: the rows up to a
     product limit that leaves out at most a**n >> 20 strings (see _Table),
-    so a random string almost always lies in it.  A rank or selection query
-    that falls below the tail completes the order with one walk over every
-    partition; so does every reader of the whole order (group_of, head,
-    info_at, iter_classes and the group_* tables), whose answers and group
-    indices are those of the complete order.  Completion runs under a lock
-    and replaces the table as one reference, so a concurrent query reads
-    either the tail or the complete table, never a mix.
+    so a random string almost always lies in it.  The table never changes
+    after that.  A rank or selection query that falls below the tail, and
+    every reader of the whole order (head, info_at, iter_classes and the
+    group_* tables), reads the table of the shared complete order of (n, a)
+    instead (see _whole_order), so their answers and group indices are
+    those of the complete order.
     """
 
     def __init__(self, n: int, a: int):
-        self._build(n, a, whole=False)
-
-    @classmethod
-    def _whole(cls, n: int, a: int) -> ClassOrder:
-        """The order built complete at once, with one walk over every partition."""
-        order = cls.__new__(cls)
-        order._build(n, a, whole=True)
-        return order
-
-    def _build(self, n: int, a: int, whole: bool) -> None:
         if n < 1 or a < 1:
             raise ValueError("need n >= 1 and a >= 1")
         check_composition_cap(n, a)
         self.n = n
         self.alphabet_size = a
         self.total_strings = a**n
-        self._lock = threading.Lock()
-        self._table = _Table(n, a, 0 if whole else self.total_strings >> 20)
+        self._table = _Table(n, a, self._uncovered())
+
+    def _uncovered(self) -> int:
+        """How many of the strings the table may leave out below its tail."""
+        return self.total_strings >> 20
 
     def _complete(self) -> _Table:
-        """The complete table, built on first need."""
-        table = self._table
-        if table.base:
-            with self._lock:
-                table = self._table
-                if table.base:
-                    table = self._table = _Table(self.n, self.alphabet_size, 0)
-        return table
-
-    def _rows(self) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Every partition of the complete order, and each group's first row."""
-        table = self._complete()
-        parts = [tuple(filter(None, row)) for row in table.parts.tolist()]
-        return parts, table.starts.tolist()
+        """The complete table: this order's own, or the shared complete order's."""
+        if self._table.base:
+            return _whole_order(self.n, self.alphabet_size)._table
+        return self._table
 
     @property
     def group_products(self) -> list[int]:
         """Order product of each tie group, descending."""
-        parts, starts = self._rows()
-        return [order_product(parts[s]) for s in starts[:-1]]
-
-    @property
-    def group_string_totals(self) -> list[int]:
-        """Number of strings in each tie group."""
-        table = self._complete()
-        return table.totals(0, len(table.infos))
-
-    @property
-    def group_infos(self) -> np.ndarray:
-        """Information content of each tie group, ascending."""
-        return self._complete().infos
+        return [order_product(parts[0]) for parts in self.group_partitions]
 
     @property
     def group_partitions(self) -> list[list[tuple[int, ...]]]:
         """Partitions of each tie group, ascending."""
-        parts, starts = self._rows()
+        table = self._complete()
+        parts = [tuple(filter(None, row)) for row in table.parts.tolist()]
+        starts = table.starts.tolist()
         return [parts[s:e] for s, e in zip(starts, starts[1:])]
 
     # -- lookups ---------------------------------------------------------
@@ -545,12 +525,6 @@ class ClassOrder:
                 size = multinomial(part)
             out.append((remaining, size, count))
         return out
-
-    def group_of(self, counts: Sequence[int]) -> int:
-        """Index of the tie group containing the composition."""
-        counts = self._checked(counts)
-        self._complete()
-        return self._group(counts)[1]
 
     def _checked(self, counts: Sequence[int]) -> tuple[int, ...]:
         counts = tuple(counts)
@@ -588,11 +562,7 @@ class ClassOrder:
         """
         if not 0 < count <= self.total_strings:
             raise ValueError(f"string count {count} out of range")
-        table = self._complete()
-        g = bisect_left(table.prefix, count)
-        taken = table.totals(0, g - 1)
-        taken.append(count - table.prefix[g - 1])
-        return table.infos[:g], taken
+        return self._complete().cut(0, count)
 
     def info_at(self, index: int) -> float:
         """Information content of the string at the given position."""
@@ -668,26 +638,31 @@ def class_order(n: int, a: int) -> ClassOrder:
     return _cached_order(n, a, whole=False)
 
 
-def _whole_order(n: int, a: int) -> ClassOrder:
-    """class_order(n, a), complete: an order not yet cached takes one walk, in full.
+class _WholeOrder(ClassOrder):
+    """A ClassOrder built complete, with one walk over every partition."""
 
-    For the readers of the whole order, which would otherwise walk the tail
-    and then every partition.
+    def _uncovered(self) -> int:
+        return 0
+
+
+def _whole_order(n: int, a: int) -> ClassOrder:
+    """class_order(n, a), complete: the one builder of a complete order.
+
+    A cached tail is replaced by the complete order, built with one walk
+    over every partition; orders that keep the tail read this one's table
+    below it.  An order not yet cached takes the one walk, in full, with no
+    tail first.
     """
-    order = _cached_order(n, a, whole=True)
-    order._complete()
-    return order
+    return _cached_order(n, a, whole=True)
 
 
 def _cached_order(n: int, a: int, whole: bool) -> ClassOrder:
     key = (n, a)
     order = _ORDER_CACHE.get(key)
-    if order is not None:
-        return order
-    with _ORDER_LOCK:
-        order = _ORDER_CACHE.get(key)
-        if order is None:
-            order = ClassOrder._whole(n, a) if whole else ClassOrder(n, a)
-            _ORDER_CACHE[key] = order
+    if order is None or whole and order._table.base:
+        with _ORDER_LOCK:
+            order = _ORDER_CACHE.get(key)
+            if order is None or whole and order._table.base:
+                order = (_WholeOrder if whole else ClassOrder)(n, a)
+                _ORDER_CACHE[key] = order
     return order
-

@@ -90,32 +90,35 @@ def sample_compositions(
     return rng.multinomial(n, np.full(a, 1.0 / a), size=size)
 
 
+def _xlogx(x: float) -> float:
+    """x*ln(x), 0 at 0: the two double operations of scipy.special.xlogy(x, x)."""
+    return x * math.log(x) if x else 0.0
+
+
 def info_from_counts(counts: np.ndarray) -> np.ndarray:
     """Empirical information content of each row of a counts matrix."""
     counts = np.asarray(counts)
+    if counts.size and counts.min() < 0:
+        raise ValueError("counts must be nonnegative")
     if (
         counts.dtype.kind in "iu"
         and counts.size
         and counts.ndim
-        and counts.min() >= 0
         # No count above the row count: no row sum can overflow, and the
         # table below is no longer than the input.
         and counts.max() <= counts.size // counts.shape[-1]
     ):
         totals = counts.sum(axis=-1)
-        # The values xlogy gives below, looked up instead of recomputed.
-        # xlogy(r, r) is the same two double operations, r * log(r): equal
-        # bit for bit (checked for every r below 2*10**6).
-        terms = np.array(
-            [r * math.log(r) if r else 0.0 for r in range(int(totals.max()) + 1)]
-        )
+        # The values the float path gives, looked up instead of recomputed.
+        terms = np.array([_xlogx(r) for r in range(int(totals.max()) + 1)])
         return (terms[totals] - terms[counts].sum(axis=-1)) / _LN2
-    from scipy.special import xlogy  # loaded only here: its import is slow
-
     c = np.asarray(counts, dtype=np.float64)
     n = c.sum(axis=-1)
-    # Same xlogy route for both terms so one-symbol rows cancel to exactly 0.
-    return (xlogy(n, n) - xlogy(c, c).sum(axis=-1)) / _LN2
+    # math.log per element, not numpy's vectorised log, which differs from
+    # it in the last bit on some inputs.  The same route for both terms, so
+    # one-symbol rows cancel to exactly 0.
+    xlogx = np.vectorize(_xlogx, otypes=[np.float64])
+    return (xlogx(n) - xlogx(c).sum(axis=-1)) / _LN2
 
 
 def _shard_sizes(total: int) -> list[int]:

@@ -4,8 +4,9 @@ import math
 import sys
 import tracemalloc
 import threading
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import accumulate, islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from setshaping.compositions import (
     _Table,
     _even_split_product,
     _partition_rows,
+    _whole_order,
     check_composition_cap,
     top_groups,
 )
@@ -53,6 +55,45 @@ def counted_walks(monkeypatch):
         lambda *args: walks.append(args[2:]) or _partition_rows(*args),
     )
     return walks
+
+
+def group_of(order, counts):
+    """Index of the complete order's tie group holding the composition."""
+    counts = order._checked(counts)
+    return order._complete().find(sorted(filter(None, counts), reverse=True))
+
+
+def group_infos(order):
+    """Information content of each tie group of the complete order, ascending."""
+    return order._complete().infos
+
+
+def group_string_totals(order):
+    """Number of strings in each tie group of the complete order."""
+    prefix = order._complete().prefix
+    return [y - x for x, y in zip(prefix, prefix[1:])]
+
+
+def cuts_at_group_edges(totals, infos):
+    """Each count on a tie-group edge or one off it, with the cut it makes.
+
+    The cut is the contents of the groups the first count strings touch and
+    how many strings each gives, from the groups' string totals and contents.
+    """
+    edges = list(accumulate(totals))
+    counts = {e + d for e in [0, *edges] for d in (-1, 0, 1)}
+    for count in sorted(c for c in counts if 0 < c <= edges[-1]):
+        g = bisect_left(edges, count)
+        yield count, infos[: g + 1], totals[:g] + [count - (edges[g - 1] if g else 0)]
+
+
+def oracle_groups(n, a):
+    """String total and content of each tie group, from the brute-force table."""
+    groups = oracles.group_table(n, a)
+    return [g[2] for g in groups], [oracles.composition_info_bits(g[1][0]) for g in groups]
+
+
+SMALL_ORDERS = [(n, a) for n in range(1, 11) for a in range(1, 5)]
 
 
 def library_compare(c1, c2):
@@ -228,7 +269,7 @@ class TestSortedOrder:
 class TestClassOrder:
     def test_group_totals_tile_everything(self):
         order = ClassOrder(8, 3)
-        assert sum(order.group_string_totals) == 3**8
+        assert sum(group_string_totals(order)) == 3**8
 
     def test_group_products_strictly_descending(self):
         order = ClassOrder(16, 5)
@@ -237,13 +278,13 @@ class TestClassOrder:
 
     def test_group_infos_strictly_increasing(self):
         order = ClassOrder(16, 5)
-        infos = list(order.group_infos)
+        infos = list(group_infos(order))
         assert all(x < y for x, y in zip(infos, infos[1:]))
 
     def test_cross_partition_tie_lands_in_one_group(self):
         order = ClassOrder(16, 5)
-        gi = order.group_of((4, 4, 4, 4, 0))
-        assert order.group_of((8, 2, 2, 2, 2)) == gi
+        gi = group_of(order, (4, 4, 4, 4, 0))
+        assert group_of(order, (8, 2, 2, 2, 2)) == gi
         assert len(order.group_partitions[gi]) == 2
 
     def test_strings_before_class_matches_brute_force(self):
@@ -290,7 +331,7 @@ class TestClassOrder:
         with pytest.raises(ValueError):
             order.strings_before_class((2, 1))
         with pytest.raises(ValueError):
-            order.group_of((3, 3))
+            group_of(order, (3, 3))
 
     def test_negative_parts_rejected(self):
         # each sums to n and shares its order product with a real composition
@@ -308,14 +349,14 @@ class TestClassOrder:
         # the tail first, then past it
         for c in (150, 151, 160, 140, 256, 44, 0, 1, 299, 300):
             counts = (c, 300 - c)
-            assert products[order.group_of(counts)] == order_product(counts)
+            assert products[group_of(order, counts)] == order_product(counts)
             start = tail.strings_before_class(counts)
             assert start == order.strings_before_class(counts)
             assert tail.locate_string(start) == (counts, 0)
 
     def test_iter_group_classes_is_lex_within_group(self):
         order = ClassOrder(16, 5)
-        gi = order.group_of((4, 4, 4, 4, 0))
+        gi = group_of(order, (4, 4, 4, 4, 0))
         got = list(order._iter_group_classes(gi))
         vectors = [v for v, _ in got]
         assert vectors == sorted(vectors)
@@ -382,7 +423,15 @@ class TestHead:
         first_edge = min(edges - {0})
         assert first_edge > 1 and any(e + 1 not in edges for e in edges - {0})
         assert order.head(first_edge)[1] == [first_edge]
-        assert order.head(a**n)[1] == order.group_string_totals
+        assert order.head(a**n)[1] == group_string_totals(order)
+
+    @pytest.mark.parametrize("n, a", SMALL_ORDERS)
+    def test_every_group_edge_against_the_oracle(self, n, a):
+        order = ClassOrder(n, a)
+        for count, infos, taken in cuts_at_group_edges(*oracle_groups(n, a)):
+            got_infos, got_taken = order.head(count)
+            # bit for bit: each group's content comes from its first partition
+            assert (got_infos.tolist(), got_taken) == (infos, taken)
 
     def test_count_bounds_checked(self):
         order = ClassOrder(3, 2)
@@ -414,8 +463,8 @@ class TestTopGroups:
     @pytest.mark.parametrize("n, a", [(1, 3), (4, 2), (3, 3), (4, 3), (3, 4), (8, 2), (5, 3), (4, 4)])
     def test_every_cut_mirrors_the_full_order(self, n, a):
         order = ClassOrder(n, a)
-        infos = order.group_infos.tolist()[::-1]
-        totals = order.group_string_totals[::-1]
+        infos = group_infos(order).tolist()[::-1]
+        totals = group_string_totals(order)[::-1]
         for count in range(1, a**n + 1):
             got_infos, taken = top_groups(n, a, count)
             g = len(taken)
@@ -424,6 +473,12 @@ class TestTopGroups:
             assert taken[:-1] == totals[: g - 1]
             assert 0 < taken[-1] <= totals[g - 1]
             assert sum(taken) == count
+
+    @pytest.mark.parametrize("n, a", SMALL_ORDERS)
+    def test_every_group_edge_against_the_oracle(self, n, a):
+        totals, infos = oracle_groups(n, a)
+        for count, top_infos, taken in cuts_at_group_edges(totals[::-1], infos[::-1]):
+            assert top_groups(n, a, count) == (top_infos, taken)
 
     def test_widens_past_the_first_limit(self, monkeypatch):
         # a first limit that holds too few strings falls back to every row
@@ -434,8 +489,8 @@ class TestTopGroups:
         walks = counted_walks(monkeypatch)
         infos, taken = top_groups(12, 2, 2**12 - 1)
         assert walks == [(_even_split_product(12, 2),), ()]
-        totals = order.group_string_totals[::-1]
-        assert infos == order.group_infos.tolist()[::-1]
+        totals = group_string_totals(order)[::-1]
+        assert infos == group_infos(order).tolist()[::-1]
         assert taken == totals[:-1] + [totals[-1] - 1]
 
     def test_count_bounds_checked(self):
@@ -467,9 +522,10 @@ class TestTail:
     # (13, 3) may leave out one string, fewer than its lowest-content tie
     # group holds, so it is built complete at once
     @pytest.mark.parametrize("n, a", [(13, 3), (40, 3), (30, 4), (101, 5)])
-    def test_answers_equal_the_complete_order(self, n, a):
-        complete = ClassOrder(n, a)
-        complete._complete()
+    def test_answers_equal_the_complete_order(self, n, a, monkeypatch):
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        complete = _whole_order(n, a)
+        assert complete._table.base == 0
         base = ClassOrder(n, a)._table.base
         assert (base > 0) == (n > 13)
         assert base <= a**n >> 20
@@ -481,14 +537,21 @@ class TestTail:
             for index in indices:
                 assert order.locate_string(index) == complete.locate_string(index)
 
-        # a rank, or a selection, below the cut completes the order
+        # a rank, or a selection, below the cut reads the shared complete
+        # order, which replaces the cached tail; the tail itself never changes
         for vectors, indices in ((ends, []), ([], head_indices)):
-            order = ClassOrder(n, a)
+            cache = {}
+            monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
+            order = class_order(n, a)
+            table = order._table
             check(order, balanced, tail_indices)
-            assert order._table.base == base
+            assert cache == {(n, a): order}
             check(order, vectors, indices)
-            assert order._table.base == 0
+            assert order._table is table and table.base == base
+            assert list(cache) == [(n, a)] and cache[(n, a)]._table.base == 0
+            assert (cache[(n, a)] is order) == (base == 0)
             check(order, balanced + ends, tail_indices + head_indices)
+            assert order._table is table
             assert order.group_products == complete.group_products
 
     @pytest.mark.parametrize("n, a", [(40, 3), (30, 4), (101, 5)])
@@ -532,10 +595,13 @@ class TestTail:
 
     def test_threads_complete_one_shared_order_once(self, monkeypatch):
         n, a = 101, 5
-        reference = ClassOrder(n, a)
-        reference._complete()
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        reference = _whole_order(n, a)
+        cache = {}
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
         walks = counted_walks(monkeypatch)
-        order = ClassOrder(n, a)
+        order = class_order(n, a)
+        table = order._table
         balanced, ends, tail_indices, head_indices = self.probes(n, a, order._table.base)
         vectors, indices = balanced + ends, tail_indices + head_indices
         want = (
@@ -567,8 +633,10 @@ class TestTail:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert results == [want] * 8
-        # the tail walk, then one completion shared by every thread
-        assert len(walks) == 2 and walks[1] == ()
+        # the tail walk, then one complete order shared by every thread
+        assert len(walks) == 2 and walks[0] != () and walks[1] == ()
+        assert order._table is table and table.base > 0
+        assert list(cache) == [(n, a)] and cache[(n, a)]._table.base == 0
 
 
 class TestWholeOrderReaders:
@@ -606,9 +674,9 @@ class TestGroupTableOracle:
         table = oracles.group_table(n, a)
         assert order.group_products == [g[0] for g in table]
         assert order.group_partitions == [g[1] for g in table]
-        assert order.group_string_totals == [g[2] for g in table]
+        assert group_string_totals(order) == [g[2] for g in table]
         # bit for bit: the value oracles.composition_info_bits gives the first partition
-        assert order.group_infos.tolist() == [oracles.composition_info_bits(g[1][0]) for g in table]
+        assert group_infos(order).tolist() == [oracles.composition_info_bits(g[1][0]) for g in table]
         if math.comb(n + a - 1, a - 1) <= 10**4:
             expected = oracles.sorted_compositions(n, a)
             assert list(order.iter_classes()) == expected

@@ -231,6 +231,17 @@ class TestShapedAverage:
         got = shaped_average_info(ens, 4, 1, interpretation="literal")
         assert math.isclose(got, 5 * math.log2(3), abs_tol=1e-12)
 
+    def test_literal_uniform_shaped_mean_walks_no_partition(self, monkeypatch):
+        # a**(n+k) = 10**101 strings, past the cap: the constant needs no order
+        walks = []
+        walk = compositions._partition_rows
+        monkeypatch.setattr(
+            compositions, "_partition_rows", lambda *args: walks.append(args) or walk(*args)
+        )
+        got = shaped_average_info(SourceEnsemble.uniform(10), 100, 1, interpretation="literal")
+        assert got == 101 * math.log2(10)
+        assert walks == []
+
     def test_beyond_float_range(self):
         # 2**1100 selected strings of 2**1101: the count is past float range
         got = shaped_average_info_exact(2, 1100, 1)

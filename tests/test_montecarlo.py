@@ -101,8 +101,8 @@ class TestSampling:
 
 
 class TestInfoFromCounts:
-    """Integer counts go through a c*ln(c) lookup table; the floats must be
-    exactly the ones the direct xlogy formula gives on float input."""
+    """Integer counts go through a c*ln(c) lookup table, float counts through
+    math.log per element; both give exactly the floats of the xlogy formula."""
 
     @staticmethod
     def _counts():
@@ -110,25 +110,35 @@ class TestInfoFromCounts:
         # one-symbol rows (content exactly 0) in every position, zeros in most
         return np.vstack([rows, 40 * np.eye(5, dtype=np.int64)])
 
+    @staticmethod
+    def _xlogy_formula(counts):
+        c = np.asarray(counts, dtype=np.float64)
+        n = c.sum(axis=-1)
+        return (scipy.special.xlogy(n, n) - scipy.special.xlogy(c, c).sum(axis=-1)) / math.log(2)
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
-    def test_table_path_is_bit_identical_to_float_path(self, dtype, monkeypatch):
+    def test_table_path_is_bit_identical_to_float_path(self, dtype):
         counts = self._counts().astype(dtype)
-        direct = info_from_counts(counts.astype(np.float64))
-        calls = []
-        real_xlogy = scipy.special.xlogy
-
-        def spy(x, y):
-            calls.append(np.size(x))
-            return real_xlogy(x, y)
-
-        monkeypatch.setattr(scipy.special, "xlogy", spy)
+        want = self._xlogy_formula(counts)
         looked_up = info_from_counts(counts)
-        assert calls == []  # the table is built without xlogy
+        direct = info_from_counts(counts.astype(np.float64))
         assert looked_up.dtype == np.float64
-        assert looked_up.tobytes() == direct.tobytes()
+        assert looked_up.tobytes() == want.tobytes()
+        assert direct.tobytes() == want.tobytes()
         assert np.all(looked_up[-5:] == 0.0)
-        info_from_counts(counts.astype(np.float64))
-        assert calls  # the spy sees the float path's calls
+
+    def test_float_path_is_bit_identical_to_xlogy(self):
+        rng = np.random.default_rng(2021)
+        # reals, integral floats, a subnormal and values near the float limits
+        rows = np.concatenate(
+            [rng.random(60_000) * 1000, np.arange(3000.0), [0.0, 5e-324, 1e-300, 1e300, 0.5, 1.0]]
+        ).reshape(-1, 3)
+        assert info_from_counts(rows).tobytes() == self._xlogy_formula(rows).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_negative_counts_rejected(self, dtype):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            info_from_counts(np.array([[3, 0], [2, -1]], dtype=dtype))
 
     def test_all_zero_rows_and_tiny_input(self):
         for counts in ([[0, 0, 0]] * 4, [[3, 0], [0, 3], [1, 2]], [[2, 2]]):

@@ -134,11 +134,15 @@ def test_oracles_import_nothing_from_the_package():
 
 
 def test_import_leaves_scipy_special_unloaded():
-    # scipy.special costs most of the import time; only float input to
-    # info_from_counts needs it
+    # scipy is a test dependency only: neither the import nor the float path
+    # of info_from_counts loads any of it
     src = str(Path(setshaping.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, setshaping; print('scipy.special' in sys.modules)"
+    code = (
+        "import sys, setshaping\n"
+        "setshaping.info_from_counts([[1.5, 2.5], [4.0, 0.0]])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -147,4 +151,4 @@ def test_import_leaves_scipy_special_unloaded():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
