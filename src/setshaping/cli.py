@@ -8,7 +8,7 @@ is byte-reproducible for any --threads value.
 
 Exit codes: 0 success, 2 invalid arguments, 3 domain error (invalid symbol,
 bad block length, not in image, corrupt stream, degenerate sample),
-4 resource cap exceeded.
+4 resource limit exceeded (composition cap, series limit, physical memory).
 """
 
 from __future__ import annotations

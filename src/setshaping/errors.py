@@ -6,7 +6,8 @@ class ShapingError(Exception):
 
 
 class ResourceLimitError(ShapingError):
-    """A computation would exceed the composition cap or the series limit."""
+    """A computation would exceed the composition cap, the series limit or
+    physical memory."""
 
 
 class NotInImageError(ShapingError):

@@ -6,15 +6,21 @@ counts, so drawing counts directly avoids materializing length-n strings.
 
 Reproducibility contract: work is cut into fixed-size shards regardless of
 thread count; shard i is driven by its own counter-based Philox stream
-seeded with SeedSequence(entropy=seed, spawn_key=(i,)); shard outputs are
-concatenated in shard-index order before any reduction.  Results are
-therefore byte-identical across thread counts, schedulings, and platforms.
+seeded with SeedSequence(entropy=seed, spawn_key=(i,)); sample j of shard i
+is written at row i*SHARD_SIZE + j of one preallocated array before any
+reduction.  Results are therefore byte-identical across thread counts,
+schedulings, and platforms.
 
-Each shard worker computes its own contents right after sampling, on the
-same threads as the sampler, through a lookup table of c*ln(c) terms that
-gives the same floats as the direct formula.  The source estimator keeps
-only the per-shard contents; the shaped estimator also keeps each shard's
-count vectors, unconcatenated, to re-rank its tie band.
+Each shard worker draws its shard in sub-chunks of 1<<14 rows (n+k rows
+where that is more), one after another from the shard's one stream, which
+gives the same rows as one whole-shard draw.  It computes each sub-chunk's contents right after
+sampling, on the same threads as the sampler, through a lookup table of
+c*ln(c) terms that gives the same floats as the direct formula, and writes
+them in place.  The source estimator keeps only the contents (8 bytes per
+sample); the shaped estimator also keeps every count vector, narrowed to
+the smallest unsigned type that holds n+k (a bytes per sample up to
+n+k=255), to re-rank its tie band.  A run whose arrays would not fit in
+physical memory is refused before the first draw.
 
 The shaped estimator is a quantile cut: the selected set is the lowest
 1/a**k fraction of the length-(n+k) order, so the mean of the lowest
@@ -29,6 +35,7 @@ vector in the band, not once per sample.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,6 +47,7 @@ from .errors import DegenerateSampleError, ResourceLimitError
 from .source import SourceEnsemble
 
 SHARD_SIZE = 1 << 16
+_CHUNK_ROWS = 1 << 14
 
 _LN2 = math.log(2.0)
 
@@ -98,6 +106,8 @@ def _xlogx(x: float) -> float:
 def info_from_counts(counts: np.ndarray) -> np.ndarray:
     """Empirical information content of each row of a counts matrix."""
     counts = np.asarray(counts)
+    if counts.dtype.kind == "f" and not np.isfinite(counts).all():
+        raise ValueError("counts must be finite")
     if counts.size and counts.min() < 0:
         raise ValueError("counts must be nonnegative")
     if (
@@ -128,32 +138,66 @@ def _shard_sizes(total: int) -> list[int]:
     return sizes
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        pages, page_size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return pages * page_size if pages > 0 and page_size > 0 else None
+
+
 def _sampled_shards(
     config: McConfig, length: int, keep_counts: bool
-) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """(counts, contents) per shard, in shard-index order.
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """(counts, contents) of every sample, row j of shard i at i*SHARD_SIZE+j.
 
-    Without keep_counts each worker drops its count vectors once their
-    contents are computed, so only the contents outlive the shard.
+    Both arrays are allocated once, up front; each worker draws its shard in
+    sub-chunks and writes their rows in place.  Without keep_counts no count
+    matrix is kept, only the contents.  The kept counts have the narrowest
+    unsigned dtype that holds `length`.  Every sub-chunk but a shard's last
+    has at least `length` rows, so info_from_counts keeps its table path.
+
+    Raises ResourceLimitError, before any draw, when these arrays and an
+    8-byte-per-sample scratch for the reductions exceed physical memory.
     """
-    a = config.alphabet_size
+    a, total = config.alphabet_size, config.samples
+    dtype = np.min_scalar_type(length)
+    need = total * (16 + (a * dtype.itemsize if keep_counts else 0))
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise ResourceLimitError(
+            f"{total} samples at alphabet {a} need {need} bytes; "
+            f"physical memory is {memory}"
+        )
+    infos = np.empty(total, dtype=np.float64)
+    counts = np.empty((total, a), dtype=dtype) if keep_counts else None
+    step = max(_CHUNK_ROWS, length)
 
-    def run(item: tuple[int, int]) -> tuple[np.ndarray | None, np.ndarray]:
+    def run(item: tuple[int, int]) -> None:
         index, size = item
-        counts = sample_compositions(shard_generator(config.seed, index), length, a, size)
-        return (counts if keep_counts else None), info_from_counts(counts)
+        rng = shard_generator(config.seed, index)
+        start = index * SHARD_SIZE
+        for lo in range(start, start + size, step):
+            hi = min(lo + step, start + size)
+            chunk = sample_compositions(rng, length, a, hi - lo)
+            infos[lo:hi] = info_from_counts(chunk)
+            if counts is not None:
+                counts[lo:hi] = chunk
 
-    jobs = list(enumerate(_shard_sizes(config.samples)))
+    jobs = list(enumerate(_shard_sizes(total)))
     if config.threads == 1 or len(jobs) == 1:
-        return [run(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(run, jobs))
+        for job in jobs:
+            run(job)
+    else:
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            list(pool.map(run, jobs))
+    return counts, infos
 
 
 def estimate_average_info(config: McConfig) -> McEstimate:
     """Sample mean of content over uniform length-n strings."""
-    shards = _sampled_shards(config, config.n, keep_counts=False)
-    infos = np.concatenate([infos for _, infos in shards])
+    _, infos = _sampled_shards(config, config.n, keep_counts=False)
     mean = float(infos.mean())
     if infos.size > 1:
         std_error = float(infos.std(ddof=1) / math.sqrt(infos.size))
@@ -162,23 +206,13 @@ def estimate_average_info(config: McConfig) -> McEstimate:
     return McEstimate(mean, std_error, int(infos.size))
 
 
-def _band_in_exact_order(
-    shards: list[tuple[np.ndarray | None, np.ndarray]], band: np.ndarray
-) -> np.ndarray:
+def _band_in_exact_order(counts: np.ndarray, band: np.ndarray) -> np.ndarray:
     """Indices of the band samples sorted by (-order product, counts, index).
 
-    Sample i is row i % SHARD_SIZE of shard i // SHARD_SIZE's counts.
+    Sample i is row i of counts.
     """
     indices = np.flatnonzero(band)
-    starts = np.arange(1, len(shards)) * SHARD_SIZE
-    parts = np.split(indices, np.searchsorted(indices, starts))
-    rows = np.concatenate(
-        [
-            counts[part - s * SHARD_SIZE]
-            for s, ((counts, _), part) in enumerate(zip(shards, parts))
-        ]
-    )
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    distinct, inverse = np.unique(counts[indices], axis=0, return_inverse=True)
     vectors = [tuple(row) for row in distinct.tolist()]
     ranked = sorted(
         range(len(vectors)), key=lambda j: (-order_product(vectors[j]), vectors[j])
@@ -197,16 +231,20 @@ def estimate_shaped_average_info(config: McConfig) -> McEstimate:
         raise DegenerateSampleError(
             f"{config.samples} samples leave none below the 1/{a**config.k} quantile"
         )
-    shards = _sampled_shards(config, config.n + config.k, keep_counts=True)
-    infos = np.concatenate([infos for _, infos in shards])
+    counts, infos = _sampled_shards(config, config.n + config.k, keep_counts=True)
 
-    cut_value = float(np.partition(infos, cut - 1)[cut - 1])
+    # One scratch array serves the selection and then the band test; it is
+    # freed before the chosen contents are gathered.
+    scratch = infos.copy()
+    scratch.partition(cut - 1)
+    cut_value = float(scratch[cut - 1])
     tol = 1e-9 * max(1.0, abs(cut_value))
     below = infos < cut_value - tol
-    band = np.abs(infos - cut_value) <= tol
+    band = np.abs(np.subtract(infos, cut_value, out=scratch), out=scratch) <= tol
+    del scratch
 
     need = cut - int(np.count_nonzero(below))
-    band_indices = _band_in_exact_order(shards, band)
+    band_indices = _band_in_exact_order(counts, band)
     if not 0 < need <= len(band_indices):
         raise AssertionError("quantile cut fell outside its tie band")
     chosen = np.concatenate([infos[below], infos[band_indices[:need]]])

@@ -93,6 +93,17 @@ def shaped_mean_info(n, a, k):
     return math.fsum(empirical_info(s, a) for s in sel) / len(sel)
 
 
+def sampled_shaped_selection(rows, a, k):
+    """Indices of the len(rows) // a**k least sampled count vectors, each
+    sample ranked by (-order product, vector, sample index)."""
+    products = {}
+    for row in rows:
+        if row not in products:
+            products[row] = order_product(row)
+    ranked = sorted(range(len(rows)), key=lambda i: (-products[rows[i]], rows[i], i))
+    return ranked[: len(rows) // a**k]
+
+
 def shape_table(n, a, k):
     """The order-preserving bijection as an explicit dict."""
     return dict(zip(all_strings_sorted(n, a), shaped_selection(n, a, k)))

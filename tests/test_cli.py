@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from setshaping import cli
+from setshaping import cli, montecarlo
 from setshaping.cli import TABLE_COLUMNS, main
 from setshaping.errors import (
     BlockLengthError,
@@ -18,6 +18,22 @@ from setshaping.errors import (
     NotInImageError,
     ResourceLimitError,
     ShapingError,
+)
+
+
+# stdout of `table2 --method mc -M 196625 --threads 2 --format csv`, three
+# whole shards and an uneven fourth per row.
+TABLE2_MC_CSV = (
+    "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,diff_bits,source_stderr,shaped_stderr,samples,seed\n"
+    "2,100,1,monte-carlo,99.274656,99.657060,-0.382404,0.002304,0.004293,196625,2\n"
+    "3,100,1,monte-carlo,157.039617,157.030214,0.009403,0.003275,0.007418,196625,3\n"
+    "4,100,1,monte-carlo,197.818600,197.349055,0.469545,0.004012,0.009738,196625,4\n"
+    "5,100,1,monte-carlo,229.289826,228.352152,0.937674,0.004626,0.011957,196625,5\n"
+    "6,100,1,monte-carlo,254.849996,253.466660,1.383336,0.005178,0.014016,196625,6\n"
+    "7,100,1,monte-carlo,276.343018,274.476656,1.866363,0.005729,0.016067,196625,7\n"
+    "8,100,1,monte-carlo,294.872412,292.596399,2.276012,0.006165,0.017899,196625,8\n"
+    "9,100,1,monte-carlo,311.116270,308.394339,2.721931,0.006621,0.019784,196625,9\n"
+    "10,100,1,monte-carlo,325.561987,322.393430,3.168557,0.007071,0.021892,196625,10\n"
 )
 
 
@@ -186,6 +202,18 @@ class TestTable2:
         assert rows[0]["source_bits"] == "100.000000"
         assert rows[0]["shaped_bits"] == "101.000000"
         assert rows[0]["diff_bits"] == "-1.000000"
+
+    def test_seeded_monte_carlo_csv_is_pinned(self, capsys):
+        argv = ("table2", "--method", "mc", "-M", "196625", "--threads", "2", "--format", "csv")
+        assert run_cli(capsys, *argv) == (0, TABLE2_MC_CSV, "")
+
+    def test_sampling_past_physical_memory_exits_4(self, capsys, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(montecarlo, "_physical_memory", lambda: 10**6)
+        monkeypatch.setattr(montecarlo, "shard_generator", lambda *args: drawn.append(args))
+        code, out, err = run_cli(capsys, "table2", "--method", "mc", "-M", "100000")
+        assert (code, out, drawn) == (4, "", [])
+        assert "physical memory" in err
 
     def test_seeded_rows_are_reproducible(self, capsys):
         argv = ("table2", "-M", "2000", "--seed", "9", "--method", "mc")

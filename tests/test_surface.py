@@ -152,3 +152,35 @@ def test_import_leaves_scipy_special_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+# What the traced mc-table probe in benchmarks/workloads.py calls, beside the
+# estimators: the shard split and the per-shard sampler and content calls.
+# Only a traced run reaches the probe, so an untraced benchmark run would not
+# notice a rename.
+PROBE_SIGNATURES = {
+    "_shard_sizes": "total",
+    "info_from_counts": "counts",
+    "sample_compositions": "rng n a size",
+    "shard_generator": "seed shard_index",
+}
+
+
+def test_benchmark_probe_names_are_pinned():
+    from setshaping import montecarlo
+
+    assert isinstance(montecarlo.SHARD_SIZE, int) and montecarlo.SHARD_SIZE > 0
+    got = {
+        name: " ".join(inspect.signature(getattr(montecarlo, name)).parameters)
+        for name in PROBE_SIGNATURES
+    }
+    assert got == PROBE_SIGNATURES
+    workloads = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    read = {
+        node.attr
+        for node in ast.walk(ast.parse(workloads.read_text()))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "montecarlo"
+    }
+    assert read == {"SHARD_SIZE", "_shard_sizes"}
