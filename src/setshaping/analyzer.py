@@ -5,16 +5,20 @@ expectation the empirical mean is n*log2(n) - sum_v E[c_v*log2(c_v)], and
 each count c_v is Binomial(n, p_v), so it is one exact binomial sum per
 distinct probability; the literal mean is n times the source entropy.
 
-A string's empirical information content depends only on its composition,
-so the mean over the a**n lowest-content strings of length n+k reduces to
-whole tie groups of the exact class order plus one partially included
-group.  The uniform shaped mean takes the complement from the top of the
-order: a**k times the mean over all a**(n+k) strings, less the
-highest-content strings left out, which compositions.top_groups reads off
-the few near-balanced partitions without building the order.  Where that
-subtraction would cost accuracy it reads the cut from ClassOrder.head, as
-both per-rank series do; the non-uniform shaped mean walks the classes of
-the two orders instead.  Nothing here enumerates strings.
+A string's empirical information content n*log2(n) - sum_v c_v*log2(c_v)
+depends only on its symbol counts, so the mean over any set of strings
+needs only K_c, how many (string, symbol) pairs of the set have a symbol
+that occurs c times in its string.  The uniform shaped mean over the a**n
+lowest-content strings of length L = n+k is
+
+    L*log2(L) - sum_c (K_c / a**n) * c*log2(c),
+
+with each K_c an exact integer: the pairs of all a**L strings,
+a*comb(L,c)*(a-1)**(L-c), less those of the highest-content strings left
+out, which compositions.top_tallies counts off the few near-balanced
+partitions without building the order.  Both per-rank series read the cut
+from ClassOrder.head; the non-uniform shaped mean walks the classes of the
+two orders instead.  Nothing here enumerates strings.
 
 The selection cutoff slices the length-(n+k) order after exactly a**n
 strings.  When the cut lands inside a class, the selected members are the
@@ -32,17 +36,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import ClassOrder, _whole_order, check_composition_cap, top_groups
+from .compositions import _whole_order, check_composition_cap, top_tallies
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
 # Largest a**n for which the per-rank series is materialized.
 SERIES_LIMIT = 10**7
-
-# Largest ratio of the top route's terms, a**k*(n+k)*log2(n+k), to the
-# uniform shaped mean: their rounding error of about 2**-50 then stays within
-# 2**-40, about 1e-12, of the mean.
-_TOP_ROUTE_RATIO = 2**10
 
 
 @dataclass(frozen=True)
@@ -87,15 +86,17 @@ def _check_shaping(a: int, n: int, k: int) -> None:
         raise ValueError("need n >= 1 and k >= 1")
 
 
-def _head_mean(order: ClassOrder, count: int) -> float:
-    """Plain mean content of the first count strings of the order."""
-    infos, taken = order.head(count)
-    # Past 2**960 strings, scale the counts by an exact power of two so that
-    # strings*info stays in float range; binary scaling changes no bit of a
-    # mean that is finite without it.
-    scale = 1 << max(count.bit_length() - 960, 0)
-    terms = [strings / scale * float(info) for strings, info in zip(taken, infos)]
-    return math.fsum(terms) / (count / scale)
+def _binomial_weights(n: int, num: int, den: int) -> Iterator[tuple[int, int]]:
+    """(c, comb(n,c)*num**c*(den-num)**(n-c)) for c = n down to 2; needs num > 0.
+
+    From c = n down, each step w[c-1] = w[c]*c*(den-num) // ((n-c+1)*num)
+    is exact.
+    """
+    rest = den - num
+    weight = num**n
+    for c in range(n, 1, -1):
+        yield c, weight
+        weight = weight * c * rest // ((n - c + 1) * num)
 
 
 def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> float:
@@ -145,13 +146,9 @@ def average_info_exact(
         shares = Counter(p.as_integer_ratio() for p in probs if p > 0.0)
     terms = [n * math.log2(n)]
     for (num, den), m in shares.items():
-        rest, scale = den - num, den**n
-        # m times the weight of c, from c = n down: num > 0, so each step
-        # w[c-1] = w[c]*c*Q // ((n-c+1)*P) is exact.
-        weight = m * num**n
-        for c in range(n, 1, -1):
-            terms.append(-(weight / scale) * (c * math.log2(c)))
-            weight = weight * c * rest // ((n - c + 1) * num)
+        scale = den**n
+        for c, weight in _binomial_weights(n, num, den):
+            terms.append(-(m * weight / scale) * (c * math.log2(c)))
     # fsum is correctly rounded, so the order of the terms does not matter.
     return math.fsum(terms)
 
@@ -160,26 +157,22 @@ def shaped_average_info_exact(a: int, n: int, k: int) -> float:
     """Mean content of the a**n lowest-content strings of length n+k.
 
     Uniform sources only: every selected string carries weight a**-n, so the
-    mean is a plain average and whole tie groups contribute strings*info.
-    It is taken from the top of the order: a**k times the mean over all
-    a**(n+k) strings, less the a**(n+k) - a**n highest-content strings over
-    a**n, which top_groups reads off the few near-balanced partitions.  The
-    terms of that difference reach a**k*(n+k)*log2(n+k), so its rounding
-    error is at most about that times 2**-50.  Where this exceeds 2**-40 of
-    the mean (it always does for a**k past _TOP_ROUTE_RATIO, since no
-    content exceeds (n+k)*log2(n+k)), the mean sums the selected groups of
-    the full order instead.
+    mean is a plain average, L*log2(L) - sum_c (K_c / a**n) * c*log2(c) with
+    L = n+k.  K_c counts the (string, symbol) pairs of the selected strings
+    whose symbol occurs c times: a*comb(L,c)*(a-1)**(L-c) over all a**L
+    strings, less the pairs of the a**L - a**n highest-content strings,
+    which top_tallies counts.  The subtraction is on exact integers, not on
+    float means; each term rounds K_c / a**n, c*log2(c) and their product
+    once, and fsum rounds their sum once.
     """
     _check_shaping(a, n, k)
     count, length = a**n, n + k
-    if a**k <= _TOP_ROUTE_RATIO:
-        infos, taken = top_groups(length, a, a**length - count)
+    left_out = top_tallies(length, a, a**length - count)
+    terms = [length * math.log2(length)]
+    for c, weight in _binomial_weights(length, 1, a):
         # int / int is correctly rounded, so no count leaves float range.
-        left_out = math.fsum([s / count * info for s, info in zip(taken, infos)])
-        mean = a**k * average_info_exact(SourceEnsemble.uniform(a), length) - left_out
-        if a**k * length * math.log2(length) <= _TOP_ROUTE_RATIO * mean:
-            return mean
-    return _head_mean(_whole_order(length, a), count)
+        terms.append(-((a * weight - left_out[c]) / count) * (c * math.log2(c)))
+    return math.fsum(terms)
 
 
 def shaped_average_info(

@@ -175,14 +175,23 @@ def _transform_file(args, forward: bool) -> int:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _exact_reports(cells, interpretation: str) -> list[AverageReport]:
+    """One exact row per (a, n, k) cell, for the uniform source on a symbols."""
+    return [
+        AverageReport(
+            a,
+            n,
+            k,
+            average_info_exact(SourceEnsemble.uniform(a), n, interpretation),
+            shaped_average_info(SourceEnsemble.uniform(a), n, k, interpretation),
+            method="exact",
+        )
+        for a, n, k in cells
+    ]
+
+
 def cmd_table1(args) -> int:
-    reports = []
-    for a in range(2, 8):
-        n, k = a, 1
-        uniform = SourceEnsemble.uniform(a)
-        source = average_info_exact(uniform, n, args.interpretation)
-        shaped = shaped_average_info(uniform, n, k, args.interpretation)
-        reports.append(AverageReport(a, n, k, source, shaped, method="exact"))
+    reports = _exact_reports([(a, a, 1) for a in range(2, 8)], args.interpretation)
     _emit_records(_report_records(reports), TABLE_COLUMNS, args, digits=3)
     return 0
 
@@ -191,17 +200,7 @@ def cmd_table2(args) -> int:
     n, k = 100, 1
     alphabets = range(2, 11)
     if args.interpretation == "literal":
-        reports = [
-            AverageReport(
-                a,
-                n,
-                k,
-                average_info_exact(SourceEnsemble.uniform(a), n, "literal"),
-                shaped_average_info(SourceEnsemble.uniform(a), n, k, "literal"),
-                method="exact",
-            )
-            for a in alphabets
-        ]
+        reports = _exact_reports([(a, n, k) for a in alphabets], "literal")
     else:
         configs = [
             McConfig(

@@ -31,8 +31,8 @@ where nearly every string lies.  A ClassOrder is built as that tail, holding
 all but at most 2**-20 of the strings, and its table never changes: a query
 below the tail, and every reader of the whole order, reads the table of the
 shared complete order, which _whole_order builds with one walk over every
-partition.  top_groups reads the highest-content strings from the same kind
-of tail.
+partition.  top_tallies tallies the symbol counts of the highest-content
+strings off the rows of the same kind of tail, and builds no table.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _cover_limit(n: int, a: int, uncovered: int) -> int:
     and one more bit for the finite n (on the Table 1 and Table 2 orders
     and the n=100 tails it added at most 0.61 bits).  Only how many rows a
     walk visits depends on it: exact products still decide which rows are
-    kept, and _Table walks every row when the limit falls short.
+    kept, and _tail_rows walks every row when the limit falls short.
     """
     from statistics import NormalDist  # loaded only here: Monte Carlo builds no order
 
@@ -172,11 +172,30 @@ def _cover_limit(n: int, a: int, uncovered: int) -> int:
     return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
 
 
+def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:
+    """The rows of a tail leaving out at most `uncovered` strings, and their string total.
+
+    The rows are those _partition_rows keeps under the product limit of
+    _cover_limit, in walk order.  Where that limit holds too few strings,
+    and with uncovered 0, they are every row, which hold all a**n strings.
+    """
+    if uncovered:
+        rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
+        covered = sum(row[2] for row in rows)
+        if covered >= a**n - uncovered:
+            return rows, covered
+    rows = _partition_rows(n, a)
+    covered = sum(row[2] for row in rows)
+    if covered != a**n:
+        raise AssertionError("group totals disagree with a**n")
+    return rows, covered
+
+
 class _Table:
     """The rows of the order, or of its tail, grouped into tie groups.
 
     The tail is the rows with order product at most a limit (see
-    _cover_limit) that hold all but at most `uncovered` of the a**n strings;
+    _tail_rows) that hold all but at most `uncovered` of the a**n strings;
     with uncovered 0, or when the limit falls short, the table holds every
     row.  Rows are in the order's layout: product descending, partitions
     ascending inside a tie.  The limit is an exact product, so a tail is an
@@ -198,25 +217,14 @@ class _Table:
     __slots__ = ("parts", "starts", "infos", "prefix", "keys", "key_groups")
 
     def __init__(self, n: int, a: int, uncovered: int):
-        total = a**n
-        rows = None
-        if uncovered:
-            rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
-            covered = sum(row[2] for row in rows)
-            if covered < total - uncovered:
-                rows = None
-        if rows is None:
-            rows = _partition_rows(n, a)
-            covered = sum(row[2] for row in rows)
-            if covered != total:
-                raise AssertionError("group totals disagree with a**n")
+        rows, covered = _tail_rows(n, a, uncovered)
         # Stable: partitions stay ascending inside each tie group.
         rows.sort(key=itemgetter(0), reverse=True)
 
         xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
         # Arrays, not lists, so that no per-group int or float outlives the
         # build's transient rows in the allocator's pools.
-        starts, infos, prefix = array("q"), array("d"), [total - covered]
+        starts, infos, prefix = array("q"), array("d"), [a**n - covered]
         last = None
         for i, (product, part, strings) in enumerate(rows):
             if product == last:
@@ -268,36 +276,48 @@ class _Table:
         rows = self.parts[self.starts.item(gi) : self.starts.item(gi + 1)].tolist()
         return [tuple(filter(None, row)) for row in rows]
 
-    def cut(self, lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
-        """The tie groups that strings lo..hi-1 of the order touch.
+    def head(self, count: int) -> tuple[np.ndarray, list[int]]:
+        """The tie groups that the first count strings of the order touch.
 
         Returns their information contents and how many of those strings
-        each group holds: all of its strings, except at the two ends, which
-        the cut may split.  Needs base <= lo < hi <= a**n.
+        each group holds: all of its strings, except for the last group,
+        which the cut may split.  Needs a complete table and
+        0 < count <= a**n.
         """
-        prefix = self.prefix
-        first = bisect_right(prefix, lo) - 1
-        end = bisect_left(prefix, hi)
-        bounds = [lo, *prefix[first + 1 : end], hi]
-        return self.infos[first:end], [y - x for x, y in zip(bounds, bounds[1:])]
+        end = bisect_left(self.prefix, count)
+        bounds = [*self.prefix[:end], count]
+        return self.infos[:end], [y - x for x, y in zip(bounds, bounds[1:])]
 
 
-def top_groups(n: int, a: int, count: int) -> tuple[list[float], list[int]]:
-    """The last count strings of the order of (n, a), one tie group at a time.
+def top_tallies(n: int, a: int, count: int) -> list[int]:
+    """Symbol-count tallies of the last count strings of the order of (n, a).
 
-    The mirror of ClassOrder.head, read without building the order: the
+    Entry c is how many (string, symbol) pairs among those strings have a
+    symbol that occurs c times in its string, for c = 0..n; the entries sum
+    to a*count and their c-weighted sum is n*count.  The content of the
+    strings is then count*n*log2(n) - sum_c tallies[c]*c*log2(c).  The
     highest-content strings lie on the few partitions of smallest order
-    product, so only the tail that holds count strings is walked.  Returns
-    the information contents of the groups, highest first, and how many
-    strings each gives: all of its strings, except for the last group,
-    which the cut may split.
+    product, so only the tail that holds count strings is walked (see
+    _tail_rows), and no table is built: the rows are taken by product
+    ascending until count strings are taken.  Partitions tied in product
+    share their sum of c*log2(c), so which rows of the last tie group give
+    its strings changes the tallies but not the content they give.
     """
     if not 0 < count <= a**n:
         raise ValueError(f"string count {count} out of range")
     check_composition_cap(n, a)
-    start = a**n - count
-    infos, taken = _Table(n, a, start).cut(start, a**n)
-    return infos[::-1].tolist(), taken[::-1]
+    rows, _ = _tail_rows(n, a, a**n - count)
+    rows.sort(key=itemgetter(0))
+    tallies = [0] * (n + 1)
+    for _, part, strings in rows:
+        take = min(strings, count)
+        tallies[0] += take * (a - len(part))
+        for c in part:
+            tallies[c] += take
+        count -= take
+        if not count:
+            break
+    return tallies
 
 
 def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
@@ -562,7 +582,7 @@ class ClassOrder:
         """
         if not 0 < count <= self.total_strings:
             raise ValueError(f"string count {count} out of range")
-        return self._complete().cut(0, count)
+        return self._complete().head(count)
 
     def info_at(self, index: int) -> float:
         """Information content of the string at the given position."""

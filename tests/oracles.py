@@ -288,6 +288,25 @@ def group_table(n, a):
     ]
 
 
+def group_tallies(n, a):
+    """Symbol-count tallies of each tie group's strings, product descending.
+
+    Entry c of a group's list counts the (string, symbol) pairs of the
+    group's strings whose symbol occurs c times in its string, c = 0..n;
+    compositions are placed on symbols as in group_table.
+    """
+    groups = {}
+    for parts in positive_compositions(n):
+        if len(parts) > a:
+            continue
+        strings = math.comb(a, len(parts)) * class_size(parts)
+        tally = groups.setdefault(order_product(parts), [0] * (n + 1))
+        tally[0] += strings * (a - len(parts))
+        for c in parts:
+            tally[c] += strings
+    return [groups[product] for product in sorted(groups, reverse=True)]
+
+
 def sample_strings(rng, n, a, size):
     """Explicit uniform strings, a size x n array; the slow route that the
     composition sampler is checked against."""

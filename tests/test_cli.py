@@ -36,6 +36,53 @@ TABLE2_MC_CSV = (
     "10,100,1,monte-carlo,325.561987,322.393430,3.168557,0.007071,0.021892,196625,10\n"
 )
 
+# stdout of the exact table commands: `table1` and `table1 --interpretation
+# literal` (csv), and `table2 --method auto -M 20000 --seed 3 --threads 2`
+# (csv), whose rows a=2..5 are exact and a=6..10 sampled.
+TABLE1_CSV = (
+    "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,diff_bits,source_stderr,shaped_stderr,samples,seed\n"
+    "2,2,1,exact,1.000,1.377,-0.377,,,,\n"
+    "3,3,1,exact,2.893,2.885,0.009,,,,\n"
+    "4,4,1,exact,5.296,5.050,0.246,,,,\n"
+    "5,5,1,exact,8.070,7.708,0.362,,,,\n"
+    "6,6,1,exact,11.137,10.223,0.915,,,,\n"
+    "7,7,1,exact,14.448,13.387,1.061,,,,\n"
+)
+
+TABLE1_LITERAL_CSV = (
+    "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,diff_bits,source_stderr,shaped_stderr,samples,seed\n"
+    "2,2,1,exact,2.000,3.000,-1.000,,,,\n"
+    "3,3,1,exact,4.755,6.340,-1.585,,,,\n"
+    "4,4,1,exact,8.000,10.000,-2.000,,,,\n"
+    "5,5,1,exact,11.610,13.932,-2.322,,,,\n"
+    "6,6,1,exact,15.510,18.095,-2.585,,,,\n"
+    "7,7,1,exact,19.651,22.459,-2.807,,,,\n"
+)
+
+TABLE2_AUTO_CSV = (
+    "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,diff_bits,source_stderr,shaped_stderr,samples,seed\n"
+    "2,100,1,exact,99.274996,99.657381,-0.382385,,,,\n"
+    "3,100,1,exact,157.043710,157.033591,0.010120,,,,\n"
+    "4,100,1,exact,197.817305,197.338892,0.478413,,,,\n"
+    "5,100,1,exact,229.277247,228.326414,0.950833,,,,\n"
+    "6,100,1,monte-carlo,254.847707,253.477766,1.369940,0.016253,0.044429,20000,9\n"
+    "7,100,1,monte-carlo,276.324226,274.396739,1.927486,0.018088,0.050922,20000,10\n"
+    "8,100,1,monte-carlo,294.842714,292.535060,2.307654,0.019410,0.055827,20000,11\n"
+    "9,100,1,monte-carlo,311.105636,308.312108,2.793528,0.020906,0.062789,20000,12\n"
+    "10,100,1,monte-carlo,325.536340,322.243509,3.292830,0.022536,0.071306,20000,13\n"
+)
+
+# `table1 --format json`: these (source, shaped, diff) bits per row, a=2..7,
+# written by json.dump with indent=2 and a trailing newline.
+TABLE1_JSON_BITS = [
+    (1.0, 1.377, -0.377),
+    (2.893, 2.885, 0.009),
+    (5.296, 5.05, 0.246),
+    (8.07, 7.708, 0.362),
+    (11.137, 10.223, 0.915),
+    (14.448, 13.387, 1.061),
+]
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -143,6 +190,34 @@ class TestTable1:
             "14.448", "13.387", "1.061",
         )
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [((), TABLE1_CSV), (("--interpretation", "literal"), TABLE1_LITERAL_CSV)],
+        ids=["empirical", "literal"],
+    )
+    def test_csv_is_pinned(self, capsys, argv, want):
+        assert run_cli(capsys, "table1", *argv) == (0, want, "")
+
+    def test_json_is_pinned(self, capsys):
+        records = [
+            {
+                "alphabet_size": a,
+                "block_length": a,
+                "surplus": 1,
+                "method": "exact",
+                "source_bits": source,
+                "shaped_bits": shaped,
+                "diff_bits": diff,
+                "source_stderr": None,
+                "shaped_stderr": None,
+                "samples": None,
+                "seed": None,
+            }
+            for a, (source, shaped, diff) in enumerate(TABLE1_JSON_BITS, start=2)
+        ]
+        want = json.dumps(records, indent=2) + "\n"
+        assert run_cli(capsys, "table1", "--format", "json") == (0, want, "")
+
     def test_csv_header_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "table1")
         assert out.splitlines()[0] == ",".join(TABLE_COLUMNS)
@@ -202,6 +277,10 @@ class TestTable2:
         assert rows[0]["source_bits"] == "100.000000"
         assert rows[0]["shaped_bits"] == "101.000000"
         assert rows[0]["diff_bits"] == "-1.000000"
+
+    def test_seeded_auto_csv_is_pinned(self, capsys):
+        argv = ("table2", "--method", "auto", "-M", "20000", "--seed", "3", "--threads", "2")
+        assert run_cli(capsys, *argv) == (0, TABLE2_AUTO_CSV, "")
 
     def test_seeded_monte_carlo_csv_is_pinned(self, capsys):
         argv = ("table2", "--method", "mc", "-M", "196625", "--threads", "2", "--format", "csv")

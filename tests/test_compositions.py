@@ -22,7 +22,6 @@ from setshaping import (
     order_product,
     rank_info_series,
     shaped_average_info,
-    shaped_average_info_exact,
 )
 from setshaping.compositions import (
     _Table,
@@ -30,7 +29,7 @@ from setshaping.compositions import (
     _partition_rows,
     _whole_order,
     check_composition_cap,
-    top_groups,
+    top_tallies,
 )
 
 
@@ -458,53 +457,59 @@ class TestBoundedWalk:
 
 
 class TestTopGroups:
-    """The last count strings of the order, read without building it."""
+    """Symbol-count tallies of the last count strings of the order, read without building it."""
 
     @pytest.mark.parametrize("n, a", [(1, 3), (4, 2), (3, 3), (4, 3), (3, 4), (8, 2), (5, 3), (4, 4)])
     def test_every_cut_mirrors_the_full_order(self, n, a):
-        order = ClassOrder(n, a)
-        infos = group_infos(order).tolist()[::-1]
-        totals = group_string_totals(order)[::-1]
+        # the content of the last count strings, summed from the highest
+        contents = [oracles.empirical_info(s, a) for s in oracles.all_strings_sorted(n, a)]
+        contents.reverse()
+        xlogx = [c * math.log2(c) if c > 1 else 0.0 for c in range(n + 1)]
         for count in range(1, a**n + 1):
-            got_infos, taken = top_groups(n, a, count)
-            g = len(taken)
-            # bit for bit: each group's content comes from the same partition
-            assert got_infos == infos[:g]
-            assert taken[:-1] == totals[: g - 1]
-            assert 0 < taken[-1] <= totals[g - 1]
-            assert sum(taken) == count
+            tallies = top_tallies(n, a, count)
+            assert len(tallies) == n + 1
+            assert sum(tallies) == a * count
+            assert sum(c * t for c, t in enumerate(tallies)) == n * count
+            got = count * xlogx[n] - math.fsum(t * x for t, x in zip(tallies, xlogx))
+            want = math.fsum(contents[:count])
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
     @pytest.mark.parametrize("n, a", SMALL_ORDERS)
     def test_every_group_edge_against_the_oracle(self, n, a):
-        totals, infos = oracle_groups(n, a)
-        for count, top_infos, taken in cuts_at_group_edges(totals[::-1], infos[::-1]):
-            assert top_groups(n, a, count) == (top_infos, taken)
+        # at a tie-group edge the tallies are those of whole groups
+        totals, _ = oracle_groups(n, a)
+        count, want = 0, [0] * (n + 1)
+        for strings, tally in zip(totals[::-1], oracles.group_tallies(n, a)[::-1]):
+            count += strings
+            want = [w + t for w, t in zip(want, tally)]
+            assert top_tallies(n, a, count) == want
 
     def test_widens_past_the_first_limit(self, monkeypatch):
         # a first limit that holds too few strings falls back to every row
-        order = ClassOrder(12, 2)
         monkeypatch.setattr(
             "setshaping.compositions._cover_limit", lambda n, a, _: _even_split_product(n, a)
         )
         walks = counted_walks(monkeypatch)
-        infos, taken = top_groups(12, 2, 2**12 - 1)
+        tallies = top_tallies(12, 2, 2**12 - 1)
         assert walks == [(_even_split_product(12, 2),), ()]
-        totals = group_string_totals(order)[::-1]
-        assert infos == group_infos(order).tolist()[::-1]
-        assert taken == totals[:-1] + [totals[-1] - 1]
+        # every string but a first one, 0**12 or 1**12, whose counts are 12 and 0
+        want = [2 * math.comb(12, c) for c in range(13)]
+        want[0] -= 1
+        want[12] -= 1
+        assert tallies == want
 
     def test_count_bounds_checked(self):
         with pytest.raises(ValueError):
-            top_groups(3, 2, 0)
+            top_tallies(3, 2, 0)
         with pytest.raises(ValueError):
-            top_groups(3, 2, 9)
+            top_tallies(3, 2, 9)
 
     def test_cap_enforced(self, monkeypatch):
         monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 54)
         with pytest.raises(ResourceLimitError):
-            top_groups(9, 3, 1)
+            top_tallies(9, 3, 1)
         monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
-        assert sum(top_groups(9, 3, 1)[1]) == 1
+        assert top_tallies(9, 3, 1) == [0, 0, 0, 3, 0, 0, 0, 0, 0, 0]
 
 
 class TestTail:
@@ -647,10 +652,8 @@ class TestWholeOrderReaders:
         [
             (lambda: rank_info_series(2, 21, 1), 2),
             (lambda: shaped_average_info(SourceEnsemble((0.1, 0.2, 0.3, 0.4)), 40, 1), 2),
-            # 2**11 is past the top route's ratio, so the mean is the head's
-            (lambda: shaped_average_info_exact(2, 12, 11), 1),
         ],
-        ids=["rank_info_series", "shaped_average_info", "head_mean"],
+        ids=["rank_info_series", "shaped_average_info"],
     )
     def test_one_walk_per_order(self, read, orders, monkeypatch):
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})

@@ -184,3 +184,25 @@ def test_benchmark_probe_names_are_pinned():
         and node.value.id == "montecarlo"
     }
     assert read == {"SHARD_SIZE", "_shard_sizes"}
+
+
+def test_benchmark_order_reads_are_pinned():
+    # The traced benchmark reads these off a class order: the group_* tables
+    # in _build and the two queries of the stream-roundtrip probe.  Only a
+    # traced run reaches them, so an untraced benchmark run would not notice
+    # that ClassOrder lost one.
+    from setshaping import ClassOrder
+
+    workloads = Path(__file__).parents[1] / "benchmarks" / "workloads.py"
+    read = set()
+    for node in ast.walk(ast.parse(workloads.read_text())):
+        if not isinstance(node, ast.Attribute):
+            continue
+        # `order.name` in _build, `self.orders[key].name` in the probe
+        owner = node.value.value if isinstance(node.value, ast.Subscript) else node.value
+        if (isinstance(owner, ast.Name) and owner.id == "order") or (
+            isinstance(owner, ast.Attribute) and owner.attr == "orders"
+        ):
+            read.add(node.attr)
+    assert read == {"group_partitions", "group_products", "strings_before_class", "locate_string"}
+    assert [name for name in sorted(read) if not hasattr(ClassOrder, name)] == []
