@@ -58,8 +58,10 @@ whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
 print(f"\ncut after {target} strings of length {n + k}:")
 print(f"  whole classes admitted: {[c for c, _ in whole]}")
 print(f"  last admitted class: {counts}, {offset + 1} of its {multinomial(counts)} strings")
-print(f"  highest admitted content: {order.info_at(target - 1):.4f}")
-print(f"  lowest excluded content:  {order.info_at(target):.4f}")
+# The last group that the first i+1 strings touch holds the i-th string.
+admitted, excluded = order.head(target)[0][-1], order.head(target + 1)[0][-1]
+print(f"  highest admitted content: {admitted:.4f}")
+print(f"  lowest excluded content:  {excluded:.4f}")
 
 probe = [0, 1, 0]
 print(f"\n{''.join(map(str, probe))} in image: {in_image(probe, params)}")

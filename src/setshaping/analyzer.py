@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import _whole_order, check_composition_cap, top_tallies
+from .compositions import _whole_order, top_tallies
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
@@ -124,7 +124,8 @@ def average_info_exact(
     float's own binary fraction) and the binomial weights comb(n,c)*P**c*
     Q**(n-c), Q = D-P, as exact integers, each divided by D**n once.
     Symbols sharing a probability share one sum; zero-probability symbols
-    never occur and contribute nothing.
+    never occur and contribute nothing.  No class order is built and no
+    partition walked, so the composition cap does not apply.
     """
     if interpretation not in ("empirical", "literal"):
         raise ValueError(f"unknown interpretation {interpretation!r}")
@@ -135,7 +136,6 @@ def average_info_exact(
         return 0.0
     if interpretation == "literal" and ensemble.is_uniform:
         return n * math.log2(a)
-    check_composition_cap(n, a)
     if interpretation == "literal":
         return n * ensemble.entropy_bits()
 

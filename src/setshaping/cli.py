@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -36,26 +37,12 @@ from .errors import (
 from .montecarlo import McConfig, estimate_table
 from .source import SourceEnsemble
 
-TABLE_COLUMNS = [
-    "alphabet_size",
-    "block_length",
-    "surplus",
-    "method",
-    "source_bits",
-    "shaped_bits",
-    "diff_bits",
-    "source_stderr",
-    "shaped_stderr",
-    "samples",
-    "seed",
-]
-
-
 def _round_floats(record: dict, digits: int) -> dict:
     out = {}
     for key, value in record.items():
         if isinstance(value, float):
-            value = round(value, digits)
+            # JSON has no Infinity or NaN; null marks the value undefined.
+            value = round(value, digits) if math.isfinite(value) else None
         out[key] = value
     return out
 
@@ -66,15 +53,18 @@ def _open_output(path: str | None):
     return open(path, "w", encoding="ascii", newline=""), True
 
 
-def _emit_records(records: list[dict], columns: list[str], args, digits: int) -> None:
-    """Write records as CSV (fixed-decimal floats) or JSON (rounded floats)."""
+def _emit_records(records: list[dict], args, digits: int) -> None:
+    """Write records as CSV (fixed-decimal floats) or JSON (rounded floats).
+
+    The CSV header is the first record's keys.
+    """
     stream, owned = _open_output(args.output)
     try:
         if args.format == "json":
             json.dump([_round_floats(r, digits) for r in records], stream, indent=2)
             stream.write("\n")
         else:
-            writer = csv.DictWriter(stream, fieldnames=columns, lineterminator="\n")
+            writer = csv.DictWriter(stream, fieldnames=list(records[0]), lineterminator="\n")
             writer.writeheader()
             for record in records:
                 row = {}
@@ -89,10 +79,6 @@ def _emit_records(records: list[dict], columns: list[str], args, digits: int) ->
     finally:
         if owned:
             stream.close()
-
-
-def _report_records(reports: list[AverageReport]) -> list[dict]:
-    return [r.to_dict() for r in reports]
 
 
 # -- symbol text handling ---------------------------------------------------
@@ -149,7 +135,9 @@ def _blocks_of(symbols: list[int], block: int) -> list[list[int]]:
     return [symbols[i : i + block] for i in range(0, len(symbols), block)]
 
 
-def _transform_file(args, forward: bool) -> int:
+def cmd_transform(args) -> int:
+    """shape, or unshape, a file blockwise."""
+    forward = args.command == "shape"
     params = ShapingParameters(args.alphabet, args.length, args.order_k)
     if not args.text and args.alphabet > 256:
         raise ValueError("byte mode supports alphabets up to 256 symbols")
@@ -192,7 +180,7 @@ def _exact_reports(cells, interpretation: str) -> list[AverageReport]:
 
 def cmd_table1(args) -> int:
     reports = _exact_reports([(a, a, 1) for a in range(2, 8)], args.interpretation)
-    _emit_records(_report_records(reports), TABLE_COLUMNS, args, digits=3)
+    _emit_records([r.to_dict() for r in reports], args, digits=3)
     return 0
 
 
@@ -214,7 +202,7 @@ def cmd_table2(args) -> int:
             for a in alphabets
         ]
         reports = estimate_table(configs, method=args.method)
-    _emit_records(_report_records(reports), TABLE_COLUMNS, args, digits=6)
+    _emit_records([r.to_dict() for r in reports], args, digits=6)
     return 0
 
 
@@ -225,7 +213,7 @@ def cmd_figure1(args) -> int:
             {"rank": i, "i_x_bits": float(x), "i_y_bits": float(y)}
             for i, (x, y) in enumerate(zip(xs, ys))
         ]
-        _emit_records(records, ["rank", "i_x_bits", "i_y_bits"], args, digits=6)
+        _emit_records(records, args, digits=6)
     else:
         stream, owned = _open_output(args.output)
         try:
@@ -240,14 +228,6 @@ def cmd_figure1(args) -> int:
         file=sys.stderr,
     )
     return 0
-
-
-def cmd_shape(args) -> int:
-    return _transform_file(args, forward=True)
-
-
-def cmd_unshape(args) -> int:
-    return _transform_file(args, forward=False)
 
 
 def cmd_rank(args) -> int:
@@ -265,8 +245,7 @@ def cmd_unrank(args) -> int:
 def cmd_codec_experiment(args) -> int:
     params = ShapingParameters(args.alphabet, args.length, args.order_k)
     report = shaping_experiment(params, samples=args.samples, seed=args.seed)
-    record = report.to_dict()
-    _emit_records([record], list(record.keys()), args, digits=6)
+    _emit_records([report.to_dict()], args, digits=6)
     return 0
 
 
@@ -368,27 +347,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(sub)
     sub.set_defaults(handler=cmd_figure1)
 
-    sub = commands.add_parser("shape", help="apply the transform to a file blockwise")
-    sub.add_argument("in_file", help="input path, or - for stdin")
-    _add_shape_params(sub, "input block length n")
-    sub.add_argument(
-        "--text",
-        action="store_true",
-        help="treat input as ASCII digit text instead of one byte per symbol",
-    )
-    sub.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    sub.set_defaults(handler=cmd_shape)
-
-    sub = commands.add_parser("unshape", help="invert the transform blockwise")
-    sub.add_argument("in_file", help="input path, or - for stdin")
-    _add_shape_params(sub, "output block length n (input blocks are n+k)")
-    sub.add_argument(
-        "--text",
-        action="store_true",
-        help="treat input as ASCII digit text instead of one byte per symbol",
-    )
-    sub.add_argument("--output", "-o", default=None, help="output path (default stdout)")
-    sub.set_defaults(handler=cmd_unshape)
+    for name, help_text, length_help in (
+        ("shape", "apply the transform to a file blockwise", "input block length n"),
+        (
+            "unshape",
+            "invert the transform blockwise",
+            "output block length n (input blocks are n+k)",
+        ),
+    ):
+        sub = commands.add_parser(name, help=help_text)
+        sub.add_argument("in_file", help="input path, or - for stdin")
+        _add_shape_params(sub, length_help)
+        sub.add_argument(
+            "--text",
+            action="store_true",
+            help="treat input as ASCII digit text instead of one byte per symbol",
+        )
+        sub.add_argument("--output", "-o", default=None, help="output path (default stdout)")
+        sub.set_defaults(handler=cmd_transform)
 
     sub = commands.add_parser(
         "rank", help="position of a string in the content-sorted order"

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -233,15 +233,7 @@ class ExperimentReport:
 
     def to_dict(self) -> dict:
         return {
-            "alphabet_size": self.alphabet_size,
-            "block_length": self.block_length,
-            "surplus": self.surplus,
-            "samples": self.samples,
-            "seed": self.seed,
-            "mean_bits_raw": self.mean_bits_raw,
-            "mean_bits_shaped": self.mean_bits_shaped,
-            "mean_emp_info_raw": self.mean_emp_info_raw,
-            "mean_emp_info_shaped": self.mean_emp_info_shaped,
+            **asdict(self),
             "delta_bits": self.delta_bits,
             "raw_bits_per_symbol": self.raw_bits_per_symbol,
             "shaped_bits_per_symbol": self.shaped_bits_per_symbol,

@@ -20,19 +20,22 @@ count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
 while staying exact.  One depth-first walk over the partitions yields a flat
 list of (product, partition, string total) rows; one stable sort by the exact
-products and one pass over it give the tie groups.  The table kept from them
-holds no products and no class sizes: a small-int matrix of the partitions
-and, per tie group, its first row, its information content and the exact
-number of strings before it, about 100 bytes a row at n=101, a=5 against
-570 with the rows kept whole.  Class sizes and class counts are recomputed
-for the one group a query reads.  Given a product limit, the same
-walk keeps only the rows at or below it: the high-content end of the order,
-where nearly every string lies.  A ClassOrder is built as that tail, holding
-all but at most 2**-20 of the strings, and its table never changes: a query
-below the tail, and every reader of the whole order, reads the table of the
-shared complete order, which _whole_order builds with one walk over every
-partition.  top_tallies tallies the symbol counts of the highest-content
-strings off the rows of the same kind of tail, and builds no table.
+products and one pass over it give the tie groups.  A ClassOrder keeps
+no products and no class sizes: a small-int matrix of the partitions, their
+bytes sorted for lookup, and, per tie group, its first row, its information
+content and the exact number of strings before it, about 100 bytes a row at
+n=101, a=5 against 570 with the rows kept whole.  Class sizes and class
+counts are recomputed for the one group a query reads.  Given a product
+limit, the same walk keeps only the rows at or below it: the high-content
+end of the order, where nearly every string lies.  The limit is an exact
+product, so that tail is an exact suffix of the complete order and each of
+its tie groups is whole.  A ClassOrder is built as that tail, holding all
+but at most 2**-20 of the strings, and is never changed: a query below the
+tail, and every reader of the whole order, goes to the shared complete
+order, which _whole_order builds with one walk over every partition.
+top_tallies tallies the symbol counts of the highest-content strings off
+the rows of the same kind of tail, and builds no order.  Every walk starts
+in _tail_rows, which checks the composition cap first.
 """
 
 from __future__ import annotations
@@ -178,7 +181,10 @@ def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:
     The rows are those _partition_rows keeps under the product limit of
     _cover_limit, in walk order.  Where that limit holds too few strings,
     and with uncovered 0, they are every row, which hold all a**n strings.
+    Every partition walk starts here, so the composition cap is checked
+    here, before any walk.
     """
+    check_composition_cap(n, a)
     if uncovered:
         rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
         covered = sum(row[2] for row in rows)
@@ -191,104 +197,6 @@ def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:
     return rows, covered
 
 
-class _Table:
-    """The rows of the order, or of its tail, grouped into tie groups.
-
-    The tail is the rows with order product at most a limit (see
-    _tail_rows) that hold all but at most `uncovered` of the a**n strings;
-    with uncovered 0, or when the limit falls short, the table holds every
-    row.  Rows are in the order's layout: product descending, partitions
-    ascending inside a tie.  The limit is an exact product, so a tail is an
-    exact suffix of the complete table and each of its tie groups is whole.
-
-    The exact products sort the rows and split them into groups while the
-    table is built; the table keeps neither them nor any class size.  It
-    keeps the partitions, one row each of `parts`, a small-int matrix with
-    min(n, a) columns padded with zeros, and per tie group its first row in
-    `starts`, its information content in `infos` and, in `prefix`, the exact
-    number of strings before it in the whole order: prefix[0], the base, is
-    the number before the tail, 0 for the complete table.  A partition is
-    looked up by its bytes: `keys` holds every row's bytes sorted and
-    `key_groups` the group of each.  A query recomputes the class sizes and
-    class counts of the one group it reads (see _group_classes).  A table is
-    never changed once built.
-    """
-
-    __slots__ = ("parts", "starts", "infos", "prefix", "keys", "key_groups")
-
-    def __init__(self, n: int, a: int, uncovered: int):
-        rows, covered = _tail_rows(n, a, uncovered)
-        # Stable: partitions stay ascending inside each tie group.
-        rows.sort(key=itemgetter(0), reverse=True)
-
-        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        # Arrays, not lists, so that no per-group int or float outlives the
-        # build's transient rows in the allocator's pools.
-        starts, infos, prefix = array("q"), array("d"), [a**n - covered]
-        last = None
-        for i, (product, part, strings) in enumerate(rows):
-            if product == last:
-                prefix[-1] += strings
-                continue
-            last = product
-            starts.append(i)
-            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
-            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
-            prefix.append(prefix[-1] + strings)
-        starts.append(len(rows))
-
-        cols = min(n, a)
-        pad = (0,) * cols
-        parts = np.fromiter(
-            chain.from_iterable(part + pad[len(part) :] for _, part, _ in rows),
-            dtype=np.min_scalar_type(n),
-            count=len(rows) * cols,
-        ).reshape(len(rows), cols)
-        del rows
-        self.parts = parts
-        self.starts = np.array(starts, dtype=np.min_scalar_type(len(parts)))
-        self.infos = np.array(infos, dtype=np.float64)
-        self.prefix = prefix
-        # Each row's bytes as one fixed-width string.  Numpy drops trailing
-        # zero bytes when it reads one out, and so does find.
-        keys = parts.view(np.dtype((np.bytes_, cols * parts.itemsize)))[:, 0]
-        by_key = np.argsort(keys, kind="stable")
-        groups = np.repeat(
-            np.arange(len(infos), dtype=np.min_scalar_type(len(infos))), np.diff(self.starts)
-        )
-        self.keys = keys[by_key]
-        self.key_groups = groups[by_key]
-
-    @property
-    def base(self) -> int:
-        return self.prefix[0]
-
-    def find(self, partition: Sequence[int]) -> int | None:
-        """Tie group of a partition (nonzero parts, descending), None if absent."""
-        key = array(self.parts.dtype.char, partition).tobytes().rstrip(b"\0")
-        i = int(self.keys.searchsorted(key))
-        if i < len(self.keys) and self.keys.item(i) == key:
-            return self.key_groups.item(i)
-        return None
-
-    def partitions(self, gi: int) -> list[tuple[int, ...]]:
-        """The partitions of tie group gi, ascending, without their zero padding."""
-        rows = self.parts[self.starts.item(gi) : self.starts.item(gi + 1)].tolist()
-        return [tuple(filter(None, row)) for row in rows]
-
-    def head(self, count: int) -> tuple[np.ndarray, list[int]]:
-        """The tie groups that the first count strings of the order touch.
-
-        Returns their information contents and how many of those strings
-        each group holds: all of its strings, except for the last group,
-        which the cut may split.  Needs a complete table and
-        0 < count <= a**n.
-        """
-        end = bisect_left(self.prefix, count)
-        bounds = [*self.prefix[:end], count]
-        return self.infos[:end], [y - x for x, y in zip(bounds, bounds[1:])]
-
-
 def top_tallies(n: int, a: int, count: int) -> list[int]:
     """Symbol-count tallies of the last count strings of the order of (n, a).
 
@@ -298,14 +206,13 @@ def top_tallies(n: int, a: int, count: int) -> list[int]:
     strings is then count*n*log2(n) - sum_c tallies[c]*c*log2(c).  The
     highest-content strings lie on the few partitions of smallest order
     product, so only the tail that holds count strings is walked (see
-    _tail_rows), and no table is built: the rows are taken by product
+    _tail_rows), and no order is built: the rows are taken by product
     ascending until count strings are taken.  Partitions tied in product
     share their sum of c*log2(c), so which rows of the last tie group give
     its strings changes the tallies but not the content they give.
     """
     if not 0 < count <= a**n:
         raise ValueError(f"string count {count} out of range")
-    check_composition_cap(n, a)
     rows, _ = _tail_rows(n, a, a**n - count)
     rows.sort(key=itemgetter(0))
     tallies = [0] * (n + 1)
@@ -464,41 +371,83 @@ class ClassOrder:
     Storage and build time scale with the number of partitions of n.  The
     build walks the partitions (see _partition_rows), sorts them by exact
     order product descending with partitions ascending inside a tie, and
-    keeps them in a compact table (see _Table).  A tie group is a maximal
-    run of rows sharing one exact order product (hence one information
-    content); per group the order keeps the first row, the information
-    content and the exact prefix sum of the string totals, so rank and
+    groups them into tie groups: maximal runs of rows sharing one exact
+    order product, hence one information content.  The exact products sort
+    and split the rows while the order is built; it keeps neither them nor
+    any class size.  It keeps the partitions, one row each of `_parts`, a
+    small-int matrix with min(n, a) columns padded with zeros, and per tie
+    group its first row in `_starts`, its information content in `_infos`
+    and, in `_prefix`, the exact number of strings before it in the whole
+    order.  A partition is looked up by its bytes: `_keys` holds every
+    row's bytes sorted and `_key_groups` the group of each.  Rank and
     selection queries read one group's partitions, recompute their class
-    sizes and class counts, and never materialize the composition list.
+    sizes and class counts (see _group_classes), and never materialize the
+    composition list.
 
     The order is built once, as its high-content tail: the rows up to a
-    product limit that leaves out at most a**n >> 20 strings (see _Table),
-    so a random string almost always lies in it.  The table never changes
-    after that.  A rank or selection query that falls below the tail, and
-    every reader of the whole order (head, info_at, iter_classes and the
-    group_* tables), reads the table of the shared complete order of (n, a)
-    instead (see _whole_order), so their answers and group indices are
-    those of the complete order.
+    product limit that leaves out at most a**n >> 20 strings (see
+    _tail_rows), so a random string almost always lies in it.  The limit is
+    an exact product, so the tail is an exact suffix of the complete order
+    and each of its tie groups is whole; _prefix[0] is the number of
+    strings below it, 0 for a complete order.  No field is reassigned
+    after __init__, so threads may share an order.  A tail hands a rank or
+    selection query that falls below it, and every reader of the whole
+    order (head, iter_classes and the group_* tables), to the shared
+    complete order of (n, a) (see _whole_order), so their answers and
+    group indices are those of the complete order.
     """
 
     def __init__(self, n: int, a: int):
         if n < 1 or a < 1:
             raise ValueError("need n >= 1 and a >= 1")
-        check_composition_cap(n, a)
         self.n = n
         self.alphabet_size = a
         self.total_strings = a**n
-        self._table = _Table(n, a, self._uncovered())
+        rows, covered = _tail_rows(n, a, self._uncovered())
+        # Stable: partitions stay ascending inside each tie group.
+        rows.sort(key=itemgetter(0), reverse=True)
+
+        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+        # Arrays, not lists, so that no per-group int or float outlives the
+        # build's transient rows in the allocator's pools.
+        starts, infos, prefix = array("q"), array("d"), [a**n - covered]
+        last = None
+        for i, (product, part, strings) in enumerate(rows):
+            if product == last:
+                prefix[-1] += strings
+                continue
+            last = product
+            starts.append(i)
+            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
+            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
+            prefix.append(prefix[-1] + strings)
+        starts.append(len(rows))
+
+        cols = min(n, a)
+        pad = (0,) * cols
+        parts = np.fromiter(
+            chain.from_iterable(part + pad[len(part) :] for _, part, _ in rows),
+            dtype=np.min_scalar_type(n),
+            count=len(rows) * cols,
+        ).reshape(len(rows), cols)
+        del rows
+        self._parts = parts
+        self._starts = np.array(starts, dtype=np.min_scalar_type(len(parts)))
+        self._infos = np.array(infos, dtype=np.float64)
+        self._prefix = prefix
+        # Each row's bytes as one fixed-width string.  Numpy drops trailing
+        # zero bytes when it reads one out, and so does _find.
+        keys = parts.view(np.dtype((np.bytes_, cols * parts.itemsize)))[:, 0]
+        by_key = np.argsort(keys, kind="stable")
+        groups = np.repeat(
+            np.arange(len(infos), dtype=np.min_scalar_type(len(infos))), np.diff(self._starts)
+        )
+        self._keys = keys[by_key]
+        self._key_groups = groups[by_key]
 
     def _uncovered(self) -> int:
-        """How many of the strings the table may leave out below its tail."""
+        """How many of the strings the order may leave out below its tail."""
         return self.total_strings >> 20
-
-    def _complete(self) -> _Table:
-        """The complete table: this order's own, or the shared complete order's."""
-        if self._table.base:
-            return _whole_order(self.n, self.alphabet_size)._table
-        return self._table
 
     @property
     def group_products(self) -> list[int]:
@@ -508,39 +457,41 @@ class ClassOrder:
     @property
     def group_partitions(self) -> list[list[tuple[int, ...]]]:
         """Partitions of each tie group, ascending."""
-        table = self._complete()
-        parts = [tuple(filter(None, row)) for row in table.parts.tolist()]
-        starts = table.starts.tolist()
+        if self._prefix[0]:
+            return _whole_order(self.n, self.alphabet_size).group_partitions
+        parts = [tuple(filter(None, row)) for row in self._parts.tolist()]
+        starts = self._starts.tolist()
         return [parts[s:e] for s, e in zip(starts, starts[1:])]
 
     # -- lookups ---------------------------------------------------------
 
-    def _group(self, counts: tuple[int, ...]) -> tuple[_Table, int]:
-        """The table holding the checked composition's tie group, and its index there."""
-        partition = sorted(filter(None, counts), reverse=True)
-        table = self._table
-        gi = table.find(partition)
-        if gi is None:
-            table = self._complete()
-            gi = table.find(partition)
-            if gi is None:
-                raise AssertionError(f"{counts} is missing from the order")
-        return table, gi
+    def _find(self, partition: Sequence[int]) -> int | None:
+        """Tie group of a partition (nonzero parts, descending), None if absent."""
+        key = array(self._parts.dtype.char, partition).tobytes().rstrip(b"\0")
+        i = int(self._keys.searchsorted(key))
+        if i < len(self._keys) and self._keys.item(i) == key:
+            return self._key_groups.item(i)
+        return None
 
-    def _group_classes(self, table: _Table, gi: int) -> list[tuple[dict[int, int], int, int]]:
+    def _partitions(self, gi: int) -> list[tuple[int, ...]]:
+        """The partitions of tie group gi, ascending, without their zero padding."""
+        rows = self._parts[self._starts.item(gi) : self._starts.item(gi + 1)].tolist()
+        return [tuple(filter(None, row)) for row in rows]
+
+    def _group_classes(self, gi: int) -> list[tuple[dict[int, int], int, int]]:
         """(padded multiset, class size, class count) of each partition of a tie group.
 
         The class count is the number of distinct arrangements of the padded
         multiset.  The class size is multinomial(partition), or, in a group
         of one partition, the group's string total over the class count.
         """
-        parts = table.partitions(gi)
+        parts = self._partitions(gi)
         out = []
         for part in parts:
             remaining = _padded_multiset(part, self.alphabet_size)
             count = multinomial(remaining.values())
             if len(parts) == 1:
-                size = (table.prefix[gi + 1] - table.prefix[gi]) // count
+                size = (self._prefix[gi + 1] - self._prefix[gi]) // count
             else:
                 size = multinomial(part)
             out.append((remaining, size, count))
@@ -557,9 +508,13 @@ class ClassOrder:
     def strings_before_class(self, counts: Sequence[int]) -> int:
         """Exact number of strings ranked before the first string of the class."""
         counts = self._checked(counts)
-        table, gi = self._group(counts)
-        total = table.prefix[gi]
-        for remaining, size, count in self._group_classes(table, gi):
+        gi = self._find(sorted(filter(None, counts), reverse=True))
+        if gi is None:
+            if not self._prefix[0]:
+                raise AssertionError(f"{counts} is missing from the order")
+            return _whole_order(self.n, self.alphabet_size).strings_before_class(counts)
+        total = self._prefix[gi]
+        for remaining, size, count in self._group_classes(gi):
             total += size * _lex_rank(counts, remaining, count)
         return total
 
@@ -567,11 +522,10 @@ class ClassOrder:
         """Composition holding the index-th string overall, plus the offset within it."""
         if not 0 <= index < self.total_strings:
             raise ValueError(f"string index {index} out of range")
-        table = self._table
-        if index < table.base:
-            table = self._complete()
-        gi = bisect_right(table.prefix, index) - 1
-        return self._select_in_group(table, gi, index - table.prefix[gi])
+        if index < self._prefix[0]:
+            return _whole_order(self.n, self.alphabet_size).locate_string(index)
+        gi = bisect_right(self._prefix, index) - 1
+        return self._select_in_group(gi, index - self._prefix[gi])
 
     def head(self, count: int) -> tuple[np.ndarray, list[int]]:
         """The first count strings of the order, one tie group at a time.
@@ -582,20 +536,16 @@ class ClassOrder:
         """
         if not 0 < count <= self.total_strings:
             raise ValueError(f"string count {count} out of range")
-        return self._complete().head(count)
+        if self._prefix[0]:
+            return _whole_order(self.n, self.alphabet_size).head(count)
+        end = bisect_left(self._prefix, count)
+        bounds = [*self._prefix[:end], count]
+        return self._infos[:end], [y - x for x, y in zip(bounds, bounds[1:])]
 
-    def info_at(self, index: int) -> float:
-        """Information content of the string at the given position."""
-        if not 0 <= index < self.total_strings:
-            raise ValueError(f"string index {index} out of range")
-        table = self._complete()
-        gi = bisect_right(table.prefix, index) - 1
-        return float(table.infos[gi])
-
-    def _select_in_group(self, table: _Table, gi: int, t: int) -> tuple[tuple[int, ...], int]:
+    def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
         # Per row still consistent with the vector so far: its remaining
         # multiset, class size, and number of arrangements of the multiset.
-        active = self._group_classes(table, gi)
+        active = self._group_classes(gi)
         vector: list[int] = []
         slots = self.alphabet_size
         while slots:
@@ -635,13 +585,16 @@ class ClassOrder:
         """(composition, class size) pairs of one tie group, lex ascending."""
         streams = [
             zip(_lex_vectors(part, self.alphabet_size), repeat(multinomial(part)))
-            for part in self._complete().partitions(gi)
+            for part in self._partitions(gi)
         ]
         yield from heapq.merge(*streams, key=itemgetter(0))
 
     def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Every (composition, class size) pair in exact order."""
-        for gi in range(len(self._complete().infos)):
+        if self._prefix[0]:
+            yield from _whole_order(self.n, self.alphabet_size).iter_classes()
+            return
+        for gi in range(len(self._infos)):
             yield from self._iter_group_classes(gi)
 
 
@@ -669,7 +622,7 @@ def _whole_order(n: int, a: int) -> ClassOrder:
     """class_order(n, a), complete: the one builder of a complete order.
 
     A cached tail is replaced by the complete order, built with one walk
-    over every partition; orders that keep the tail read this one's table
+    over every partition; orders that keep the tail hand it what lies
     below it.  An order not yet cached takes the one walk, in full, with no
     tail first.
     """
@@ -679,10 +632,10 @@ def _whole_order(n: int, a: int) -> ClassOrder:
 def _cached_order(n: int, a: int, whole: bool) -> ClassOrder:
     key = (n, a)
     order = _ORDER_CACHE.get(key)
-    if order is None or whole and order._table.base:
+    if order is None or whole and order._prefix[0]:
         with _ORDER_LOCK:
             order = _ORDER_CACHE.get(key)
-            if order is None or whole and order._table.base:
+            if order is None or whole and order._prefix[0]:
                 order = (_WholeOrder if whole else ClassOrder)(n, a)
                 _ORDER_CACHE[key] = order
     return order

@@ -35,9 +35,10 @@ class SourceEnsemble:
         object.__setattr__(self, "probabilities", probs)
         if len(probs) < 1:
             raise ValueError("alphabet must have at least one symbol")
-        if any(p < 0.0 or p > 1.0 for p in probs):
+        # Written so that NaN, for which every comparison is false, fails them.
+        if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
-        if abs(math.fsum(probs) - 1.0) > PROB_SUM_TOL:
+        if not abs(math.fsum(probs) - 1.0) <= PROB_SUM_TOL:
             raise ValueError("probabilities must sum to 1")
 
     @classmethod

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from setshaping import cli, montecarlo
-from setshaping.cli import TABLE_COLUMNS, main
+from setshaping.cli import main
 from setshaping.errors import (
     BlockLengthError,
     CorruptStreamError,
@@ -92,6 +92,15 @@ def run_cli(capsys, *argv):
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def strict_json(text):
+    """json.loads that refuses Infinity and NaN, which JSON does not have."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestRankCommands:
@@ -220,7 +229,10 @@ class TestTable1:
 
     def test_csv_header_is_stable(self, capsys):
         _, out, _ = run_cli(capsys, "table1")
-        assert out.splitlines()[0] == ",".join(TABLE_COLUMNS)
+        assert out.splitlines()[0] == (
+            "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,"
+            "diff_bits,source_stderr,shaped_stderr,samples,seed"
+        )
 
     def test_json_structure(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--format", "json")
@@ -426,6 +438,34 @@ class TestCodecExperiment:
         assert code == 0
         (row,) = parse_csv(out)
         assert row["block_length"] == "6"
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table1", "--format", "json"),
+            ("table1", "--interpretation", "literal", "--format", "json"),
+            ("table2", "--method", "mc", "-M", "10", "--format", "json"),
+            ("table2", "--interpretation", "literal", "--format", "json"),
+            ("figure1", "-a", "3", "-n", "5", "--order-k", "2", "--format", "json"),
+            ("codec-experiment", "-a", "3", "-n", "10", "-M", "200"),
+        ],
+        ids=["table1", "table1-literal", "table2-mc", "table2-literal", "figure1", "codec"],
+    )
+    def test_every_json_command_is_strict_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert strict_json(out)
+
+    def test_undefined_stderr_is_null_in_json_and_inf_in_csv(self, capsys):
+        # M // a**k is one sample pair at a=6..10, too few for a std error
+        argv = ("table2", "--method", "mc", "-M", "10")
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        records = strict_json(out)
+        assert [r["shaped_stderr"] is None for r in records] == [False] * 4 + [True] * 5
+        _, out, _ = run_cli(capsys, *argv)
+        assert [r["shaped_stderr"] == "inf" for r in parse_csv(out)] == [False] * 4 + [True] * 5
 
 
 class TestExitCodes:

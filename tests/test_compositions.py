@@ -24,7 +24,7 @@ from setshaping import (
     shaped_average_info,
 )
 from setshaping.compositions import (
-    _Table,
+    _WholeOrder,
     _even_split_product,
     _partition_rows,
     _whole_order,
@@ -56,21 +56,45 @@ def counted_walks(monkeypatch):
     return walks
 
 
+def complete(order):
+    """The order itself if it is complete, else the shared complete order."""
+    return _whole_order(order.n, order.alphabet_size) if order._prefix[0] else order
+
+
 def group_of(order, counts):
     """Index of the complete order's tie group holding the composition."""
     counts = order._checked(counts)
-    return order._complete().find(sorted(filter(None, counts), reverse=True))
+    return complete(order)._find(sorted(filter(None, counts), reverse=True))
 
 
 def group_infos(order):
     """Information content of each tie group of the complete order, ascending."""
-    return order._complete().infos
+    return complete(order)._infos
 
 
 def group_string_totals(order):
     """Number of strings in each tie group of the complete order."""
-    prefix = order._complete().prefix
+    prefix = complete(order)._prefix
     return [y - x for x, y in zip(prefix, prefix[1:])]
+
+
+def info_at(order, index):
+    """Information content of the string at the given position of the order.
+
+    The last tie group that the first index+1 strings touch holds it.
+    """
+    return float(order.head(index + 1)[0][-1])
+
+
+def table_of(order):
+    """The arrays and prefix sums an order keeps, by attribute name."""
+    return {name: value for name, value in vars(order).items() if name.startswith("_")}
+
+
+def same_table(order, table):
+    """Whether the order still holds exactly these objects, none reassigned."""
+    now = table_of(order)
+    return now.keys() == table.keys() and all(now[name] is table[name] for name in table)
 
 
 def cuts_at_group_edges(totals, infos):
@@ -313,7 +337,7 @@ class TestClassOrder:
         strings = oracles.all_strings_sorted(n, a)
         for index in range(0, a**n, 7):
             assert math.isclose(
-                order.info_at(index), oracles.empirical_info(strings[index], a), abs_tol=1e-12
+                info_at(order, index), oracles.empirical_info(strings[index], a), abs_tol=1e-12
             )
 
     def test_index_bounds_checked(self):
@@ -323,7 +347,7 @@ class TestClassOrder:
         with pytest.raises(ValueError):
             order.locate_string(8)
         with pytest.raises(ValueError):
-            order.info_at(8)
+            info_at(order, 8)
 
     def test_foreign_composition_rejected(self):
         order = ClassOrder(4, 2)
@@ -354,7 +378,8 @@ class TestClassOrder:
             assert tail.locate_string(start) == (counts, 0)
 
     def test_iter_group_classes_is_lex_within_group(self):
-        order = ClassOrder(16, 5)
+        # (16, 5) is built as a tail: gi indexes the groups of the complete order
+        order = complete(ClassOrder(16, 5))
         gi = group_of(order, (4, 4, 4, 4, 0))
         got = list(order._iter_group_classes(gi))
         vectors = [v for v, _ in got]
@@ -529,18 +554,18 @@ class TestTail:
     @pytest.mark.parametrize("n, a", [(13, 3), (40, 3), (30, 4), (101, 5)])
     def test_answers_equal_the_complete_order(self, n, a, monkeypatch):
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
-        complete = _whole_order(n, a)
-        assert complete._table.base == 0
-        base = ClassOrder(n, a)._table.base
+        whole = _whole_order(n, a)
+        assert whole._prefix[0] == 0
+        base = ClassOrder(n, a)._prefix[0]
         assert (base > 0) == (n > 13)
         assert base <= a**n >> 20
         balanced, ends, tail_indices, head_indices = self.probes(n, a, base)
 
         def check(order, vectors, indices):
             for counts in vectors:
-                assert order.strings_before_class(counts) == complete.strings_before_class(counts)
+                assert order.strings_before_class(counts) == whole.strings_before_class(counts)
             for index in indices:
-                assert order.locate_string(index) == complete.locate_string(index)
+                assert order.locate_string(index) == whole.locate_string(index)
 
         # a rank, or a selection, below the cut reads the shared complete
         # order, which replaces the cached tail; the tail itself never changes
@@ -548,53 +573,53 @@ class TestTail:
             cache = {}
             monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
             order = class_order(n, a)
-            table = order._table
+            table = table_of(order)
             check(order, balanced, tail_indices)
             assert cache == {(n, a): order}
             check(order, vectors, indices)
-            assert order._table is table and table.base == base
-            assert list(cache) == [(n, a)] and cache[(n, a)]._table.base == 0
+            assert same_table(order, table) and order._prefix[0] == base
+            assert list(cache) == [(n, a)] and cache[(n, a)]._prefix[0] == 0
             assert (cache[(n, a)] is order) == (base == 0)
             check(order, balanced + ends, tail_indices + head_indices)
-            assert order._table is table
-            assert order.group_products == complete.group_products
+            assert same_table(order, table)
+            assert order.group_products == whole.group_products
 
     @pytest.mark.parametrize("n, a", [(40, 3), (30, 4), (101, 5)])
     def test_tail_is_a_suffix_of_the_complete_table(self, n, a):
-        tail = _Table(n, a, a**n >> 20)
-        full = _Table(n, a, 0)
-        assert tail.base > 0
-        g = len(tail.infos)
-        skipped_rows, skipped_groups = len(full.parts) - len(tail.parts), len(full.infos) - g
-        assert tail.parts.tolist() == full.parts[skipped_rows:].tolist()
-        assert [s + skipped_rows for s in tail.starts.tolist()] == full.starts[-g - 1 :].tolist()
-        assert tail.infos.tolist() == full.infos[-g:].tolist()
-        assert tail.prefix == full.prefix[-g - 1 :]
+        tail = ClassOrder(n, a)
+        full = _WholeOrder(n, a)
+        assert tail._prefix[0] > 0
+        g = len(tail._infos)
+        skipped_rows, skipped_groups = len(full._parts) - len(tail._parts), len(full._infos) - g
+        assert tail._parts.tolist() == full._parts[skipped_rows:].tolist()
+        assert [s + skipped_rows for s in tail._starts.tolist()] == full._starts[-g - 1 :].tolist()
+        assert tail._infos.tolist() == full._infos[-g:].tolist()
+        assert tail._prefix == full._prefix[-g - 1 :]
         # the lookup finds every tail partition in the group the full table has
         for gi in range(g):
-            for part in tail.partitions(gi):
-                assert tail.find(part) == gi
-                assert full.find(part) == gi + skipped_groups
-        assert tail.find(full.partitions(0)[0]) is None
+            for part in tail._partitions(gi):
+                assert tail._find(part) == gi
+                assert full._find(part) == gi + skipped_groups
+        assert tail._find(full._partitions(0)[0]) is None
 
     @pytest.mark.parametrize("n, a", [(100, 3), (101, 3), (100, 5), (101, 5)])
     def test_tail_takes_one_walk(self, n, a, monkeypatch):
         limits = counted_walks(monkeypatch)
         order = ClassOrder(n, a)
         assert len(limits) == 1 and limits[0] != ()
-        assert 0 < order._table.base <= a**n >> 20
+        assert 0 < order._prefix[0] <= a**n >> 20
 
     def test_tail_retains_few_bytes_per_row(self):
         # 10,658 rows; 572 bytes a row when each row held its bigint product,
         # partition tuple, bigint class size and class count
-        _Table(101, 5, 5**101 >> 20)  # the imports of a first build stay out
+        ClassOrder(101, 5)  # the imports of a first build stay out
         tracemalloc.start()
         try:
-            table = _Table(101, 5, 5**101 >> 20)
+            order = ClassOrder(101, 5)
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        rows = int(table.starts[-1])
+        rows = int(order._starts[-1])
         assert rows == 10658
         assert retained / rows < PER_ROW_LIMIT
 
@@ -606,8 +631,8 @@ class TestTail:
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
         walks = counted_walks(monkeypatch)
         order = class_order(n, a)
-        table = order._table
-        balanced, ends, tail_indices, head_indices = self.probes(n, a, order._table.base)
+        table = table_of(order)
+        balanced, ends, tail_indices, head_indices = self.probes(n, a, order._prefix[0])
         vectors, indices = balanced + ends, tail_indices + head_indices
         want = (
             [reference.strings_before_class(v) for v in vectors],
@@ -640,8 +665,8 @@ class TestTail:
         assert results == [want] * 8
         # the tail walk, then one complete order shared by every thread
         assert len(walks) == 2 and walks[0] != () and walks[1] == ()
-        assert order._table is table and table.base > 0
-        assert list(cache) == [(n, a)] and cache[(n, a)]._table.base == 0
+        assert same_table(order, table) and order._prefix[0] > 0
+        assert list(cache) == [(n, a)] and cache[(n, a)]._prefix[0] == 0
 
 
 class TestWholeOrderReaders:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from setshaping import (
     AverageReport,
+    ClassOrder,
     ResourceLimitError,
     SourceEnsemble,
     average_info_exact,
@@ -21,6 +22,8 @@ from setshaping import (
     shaped_average_info_exact,
 )
 from setshaping import compositions
+from test_acceptance import TABLE2_REFERENCE
+from test_compositions import counted_walks, info_at
 
 # brute-force means, frozen from full string enumeration (n = a, k = 1)
 UNIFORM_GRID = {
@@ -82,14 +85,26 @@ class TestAverageInfoExact:
         want = oracles.weighted_mean_info(6, probs, lambda s: oracles.literal_info(s, probs))
         assert math.isclose(got, want, abs_tol=1e-9)
 
-    def test_cap_enforced_for_every_source(self, monkeypatch):
+    def test_cap_guards_the_walks_not_the_mean(self, monkeypatch):
+        # 9 into 3 parts has 55 compositions: the cap of 10 refuses the
+        # partition walks, while the mean, a binomial sum, walks none
         sources = (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2)))
-        for ens in sources:
-            average_info_exact(ens, 9)
+        want = [average_info_exact(ens, 9) for ens in sources]
         monkeypatch.setattr(compositions, "DEFAULT_COMPOSITION_CAP", 10)
-        for ens in sources:
-            with pytest.raises(ResourceLimitError):
-                average_info_exact(ens, 9)
+        monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
+        assert [average_info_exact(ens, 9) for ens in sources] == want
+        with pytest.raises(ResourceLimitError):
+            ClassOrder(9, 3)
+        with pytest.raises(ResourceLimitError):
+            compositions.top_tallies(9, 3, 1)
+
+    def test_table2_source_column_past_the_cap_walks_no_partition(self, monkeypatch):
+        # a=6..10 at n=100 lie past the composition cap for the shaped mean
+        walks = counted_walks(monkeypatch)
+        for a in range(6, 11):
+            got = average_info_exact(SourceEnsemble.uniform(a), 100)
+            assert abs(got - TABLE2_REFERENCE[a][0]) <= 0.05, a
+        assert walks == []
 
     def test_interpretation_validated(self):
         with pytest.raises(ValueError):
@@ -312,8 +327,8 @@ class TestSelectionBoundary:
         assert offset + 1 == 2 < multinomial(counts)
         whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
         assert [c for c, _ in whole] == [(0, 3), (3, 0)]
-        assert math.isclose(order.info_at(3), 3 * math.log2(3) - 2, abs_tol=1e-12)
-        assert math.isclose(order.info_at(4), 3 * math.log2(3) - 2, abs_tol=1e-12)
+        assert math.isclose(info_at(order, 3), 3 * math.log2(3) - 2, abs_tol=1e-12)
+        assert math.isclose(info_at(order, 4), 3 * math.log2(3) - 2, abs_tol=1e-12)
 
     def test_clean_cut_case(self):
         order = class_order(4, 3)
@@ -332,7 +347,7 @@ class TestSelectionBoundary:
     def test_max_selected_never_exceeds_min_complement(self):
         for a, n, k in self.CASES:
             order = class_order(n + k, a)
-            assert order.info_at(a**n - 1) <= order.info_at(a**n) + 1e-12
+            assert info_at(order, a**n - 1) <= info_at(order, a**n) + 1e-12
 
     def test_complement_min_matches_brute_force(self):
         cases = {
@@ -342,7 +357,7 @@ class TestSelectionBoundary:
             (2, 4, 2): 5.5097750043269365,
         }
         for (a, n, k), want in cases.items():
-            assert math.isclose(class_order(n + k, a).info_at(a**n), want, abs_tol=1e-12)
+            assert math.isclose(info_at(class_order(n + k, a), a**n), want, abs_tol=1e-12)
             assert math.isclose(oracles.complement_min_info(n, a, k), want, abs_tol=1e-12)
 
 

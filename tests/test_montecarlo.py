@@ -432,8 +432,8 @@ class TestEstimateTable:
             )
 
     def test_auto_samples_exactly_the_rows_the_exact_layer_refuses(self, monkeypatch):
-        # At a=3, n=9, k=1 the source mean needs 55 composition classes and
-        # the order at n+k=10 needs 66.
+        # At a=3, n=9, k=1 the shaped mean walks the order at n+k=10, which
+        # has 66 composition classes; the source mean walks none.
         config = McConfig(alphabet_size=3, n=9, k=1, samples=2000, seed=0)
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
         monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 60)

@@ -34,6 +34,20 @@ class TestEnsembleValidation:
         with pytest.raises(ValueError):
             SourceEnsemble((1.2, -0.2))
 
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            (math.nan, 1.0),
+            (0.5, math.nan, 0.5),
+            (math.nan, math.nan),
+            (math.nan, 0.25, math.nan, 0.75),
+        ],
+    )
+    def test_nan_probability_rejected(self, probs):
+        # every comparison with NaN is false, so a range check must not pass it
+        with pytest.raises(ValueError, match="must lie in"):
+            SourceEnsemble(probs)
+
     def test_single_symbol_alphabet_allowed(self):
         # degenerate but well defined: constant strings, zero entropy
         ens = SourceEnsemble((1.0,))

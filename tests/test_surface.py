@@ -133,6 +133,25 @@ def test_oracles_import_nothing_from_the_package():
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "setshaping"]
 
 
+def test_composition_cap_is_checked_once_at_the_walk():
+    # Every partition walk starts in compositions._tail_rows, so that is the
+    # one place the cap is checked; nothing that walks no partition is capped.
+    def calls(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "check_composition_cap":
+                    yield owner
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from calls(child, child.name if inner else owner)
+
+    found = []
+    for path in sorted(Path(setshaping.__file__).parent.glob("*.py")):
+        found.extend((path.name, owner) for owner in calls(ast.parse(path.read_text()), None))
+    assert found == [("compositions.py", "_tail_rows")]
+
+
 def test_import_leaves_scipy_special_unloaded():
     # scipy is a test dependency only: neither the import nor the float path
     # of info_from_counts loads any of it
