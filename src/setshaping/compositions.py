@@ -19,16 +19,24 @@ ClassOrder therefore aggregates by partition of n and only expands individual
 count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
 while staying exact.  One depth-first walk over the partitions yields a flat
-list of (product, partition, string total) rows; one stable sort by the exact
-products and one pass over it give the tie groups.  A ClassOrder keeps
-no products and no class sizes: a small-int matrix of the partitions, their
+list of (key, partition, string total) rows.  The key is sum c*ln(c), the
+log of the order product, as a float within a proven relative bound of it
+(see _key_tolerance); the string totals come from multinomials carried
+down the walk, a node's times comb(rest, c) for a part c, and the walk keeps
+no table of powers or factorials.  _exact_order sorts the rows by key and hands the
+runs whose keys lie within the bound of each other to exact integer
+products, which order them and find the ties, so floats never decide a
+placement that exact products would decide differently, and flags the
+ties, which give the tie groups.  A ClassOrder keeps no products and no
+class sizes: a small-int matrix of the partitions, their
 bytes sorted for lookup, and, per tie group, its first row, its information
 content and the exact number of strings before it, about 100 bytes a row at
 n=101, a=5 against 570 with the rows kept whole.  Class sizes and class
 counts are recomputed for the one group a query reads.  Given a product
 limit, the same walk keeps only the rows at or below it: the high-content
 end of the order, where nearly every string lies.  The limit is an exact
-product, so that tail is an exact suffix of the complete order and each of
+product, and a key within the bound of its log is tested on exact
+products, so that tail is an exact suffix of the complete order and each of
 its tie groups is whole.  A ClassOrder is built as that tail, holding all
 but at most 2**-20 of the strings, and is never changed: a query below the
 tail, and every reader of the whole order, goes to the shared complete
@@ -45,8 +53,8 @@ import math
 import threading
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, chain, repeat
-from operator import itemgetter, mul
+from itertools import accumulate, chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -102,54 +110,136 @@ def _even_split_product(r: int, s: int) -> int:
     return (q**q) ** (s - extra) * ((q + 1) ** (q + 1)) ** extra
 
 
+# A float key sums at most min(n, a) terms c*ln(c), each within 3 units of
+# 2**-53 of its value relative (libm's log within one ulp, then the product
+# rounded; 4 for the even split's multiples of one term), and each addition
+# adds one more: the key is within (terms + 3) * 2**-53 of ln(order
+# product), relative.  _key_tolerance takes (terms + 4) * 2**-52, over
+# twice that, which also covers ln(limit) and the rounding of the
+# comparisons made with it.  Keys and ln(limit) are nonnegative, so the
+# bound grows with the key's magnitude: at n = 10**5 keys near 1.2e6 have
+# an ulp of 2.3e-10, and no fixed constant would do.
+_KEY_EPS = 2.0**-52
+
+
+def _key_tolerance(n: int, a: int) -> float:
+    """Relative error bound of every float key of a walk of n into a parts."""
+    return (min(n, a) + 4) * _KEY_EPS
+
+
 def _partition_rows(
     n: int, a: int, limit: int | None = None
-) -> list[tuple[int, tuple[int, ...], int]]:
+) -> list[tuple[float, tuple[int, ...], int]]:
     """One row per partition of n into at most a parts, partitions lex ascending.
 
-    A row is (order product, partition, strings): strings counts the strings
-    of every class of the partition, its class size n!/prod(c!) times its
-    class count, the number of distinct a-length count vectors that sort to
-    it, perm(a, len) / prod(multiplicity!).  The depth-first walk carries the
-    product, the factorial denominator and the multiplicity factorials down
-    the recursion, so siblings share their prefix's work.
+    A row is (key, partition, strings).  The key is sum c*ln(c) over the
+    parts, the natural log of the order product, as a float within
+    _key_tolerance of it.  strings counts the strings of every class of
+    the partition, its class size n!/prod(c!) times its class count, the
+    number of distinct a-length count vectors that sort to it,
+    perm(a, len) / prod(multiplicity!).  The depth-first walk carries both
+    down: a node holds the multinomial of its parts and its rest, which a
+    part c out of rest multiplies by comb(rest, c), stepped from
+    comb(rest, c - 1) as c grows, and the class count of its parts, which a
+    part multiplies by the free slots and divides by its run of equal parts.
+    The last two parts close in one loop, as (c, rest - c).
 
     With a limit, only the rows whose order product is at most limit are
     kept.  Parts are placed largest first and each is at least the even
     share of the rest, so the least product a prefix can be completed to is
     the even split of what remains over the free slots.  That bound never
     falls as the next part grows, so the first part past the limit ends the
-    loop; every test is on exact integers.
+    loop.  The bound's key is compared with ln(limit) in floats; only where
+    the two lie within the keys' error bound are the exact integer products
+    compared, so every decision is the exact one.
     """
-    powers = [c**c for c in range(n + 1)]
-    fact = list(accumulate(range(1, n + 1), mul, initial=1))
-    perms = [math.perm(a, length) for length in range(min(a, n) + 1)]
+    xlnx = [0.0, 0.0] + [c * math.log(c) for c in range(2, n + 1)]
+    rows: list[tuple[float, tuple[int, ...], int]] = []
     if limit is not None:
-        # least[s][r]: least order product of r in at most s parts.
-        least = [[1]] + [
-            [_even_split_product(r, s) for r in range(n + 1)] for s in range(1, a)
-        ]
-    rows: list[tuple[int, tuple[int, ...], int]] = []
+        if limit < 1:
+            return rows
+        ln_limit = math.log(limit)
+        tol = _key_tolerance(n, a)
 
-    def walk(prefix, rest, slots, top, prod, den, mult_den, run):
-        # top bounds the next part and is the last part placed, whose run
-        # of equal parts has length run.
-        for c in range(-(-rest // slots), min(rest, top) + 1):
-            p = prod * powers[c]
-            if limit is not None and p * least[slots - 1][rest - c] > limit:
-                break
-            part = prefix + (c,)
+    def close(prefix, rest, top, key, mult, count, run):
+        # The last two slots: parts c and rest - c, with c at least half of rest.
+        first = -(-rest // 2)
+        size = mult * math.comb(rest, first - 1)
+        for c in range(first, min(rest, top) + 1):
+            r = rest - c
+            k = key + xlnx[c] + xlnx[r]
+            if limit is not None:
+                bound = (k + ln_limit) * tol
+                if not ln_limit - k > bound and (
+                    k - ln_limit > bound or order_product(prefix) * c**c * r**r > limit
+                ):
+                    break
+            # mult * comb(rest, c), from mult * comb(rest, c - 1)
+            size = size * (r + 1) // c
             c_run = run + 1 if c == top else 1
-            d, md = den * fact[c], mult_den * c_run
-            if c == rest:
-                rows.append((p, part, fact[n] // d * (perms[len(part)] // md)))
+            count2 = count * 2 // c_run
+            if not r:
+                rows.append((k, prefix + (c,), size * count2))
+            elif r < c:
+                rows.append((k, prefix + (c, r), size * count2))
             else:
-                walk(part, rest - c, slots - 1, c, p, d, md, c_run)
+                rows.append((k, prefix + (c, r), size * (count2 // (c_run + 1))))
 
-    walk((), n, a, n, 1, 1, 1, 0)
+    def walk(prefix, rest, slots, top, key, mult, count, run):
+        # More than two slots are free.  top bounds the next part and is the
+        # last part placed, whose run of equal parts has length run.
+        first = -(-rest // slots)
+        size = mult * math.comb(rest, first - 1)
+        for c in range(first, min(rest, top) + 1):
+            k = key + xlnx[c]
+            r = rest - c
+            if limit is not None:
+                q, extra = divmod(r, slots - 1)
+                least = k + (slots - 1 - extra) * xlnx[q] + extra * xlnx[q + 1]
+                bound = (least + ln_limit) * tol
+                if not ln_limit - least > bound and (
+                    least - ln_limit > bound
+                    or order_product(prefix) * c**c * _even_split_product(r, slots - 1) > limit
+                ):
+                    break
+            size = size * (r + 1) // c
+            c_run = run + 1 if c == top else 1
+            count2 = count * slots // c_run
+            if not r:
+                rows.append((k, prefix + (c,), size * count2))
+            elif slots == 3:
+                close(prefix + (c,), r, c, k, size, count2, c_run)
+            else:
+                walk(prefix + (c,), r, slots - 1, c, k, size, count2, c_run)
+
+    if a > 2:
+        walk((), n, a, n, 0.0, 1, 1, 0)
+    elif a == 2:
+        close((), n, n, 0.0, 1, 1, 0)
+    elif limit is None or n**n <= limit:
+        rows.append((xlnx[n], (n,), 1))
     # walk refers to itself; dropping it frees it, and so rows, with the caller.
     del walk
     return rows
+
+
+def _upper_normal_quantile(p: float) -> float:
+    """z with P(Z > z) = p for a standard normal Z and 1e-300 <= p <= 0.5.
+
+    Newton's method on ln P(Z > z), from math.erfc alone.  It starts at
+    sqrt(-2 ln(2p)), at or above z since P(Z > z) <= exp(-z**2/2)/2, and
+    ln P(Z > z) is concave, so each step stays at or above z and the steps
+    fall until rounding stops them.
+    """
+    z = math.sqrt(2 * math.log(0.5 / p))
+    for _ in range(64):
+        tail = math.erfc(z / math.sqrt(2)) / 2
+        density = math.exp(-z * z / 2) / math.sqrt(2 * math.pi)
+        step = (math.log(tail) - math.log(p)) * tail / density
+        if not step < 0:
+            break
+        z += step
+    return z
 
 
 def _cover_limit(n: int, a: int, uncovered: int) -> int:
@@ -165,12 +255,9 @@ def _cover_limit(n: int, a: int, uncovered: int) -> int:
     walk visits depends on it: exact products still decide which rows are
     kept, and _tail_rows walks every row when the limit falls short.
     """
-    from statistics import NormalDist  # loaded only here: Monte Carlo builds no order
-
     k = a - 1
     # Clamped so that the normal quantile stays finite.
-    fraction = min(max(uncovered / a**n, 1e-300), 0.5)
-    z = -NormalDist().inv_cdf(fraction)
+    z = _upper_normal_quantile(min(max(uncovered / a**n, 1e-300), 0.5))
     chi2 = k * max(1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k)), 0.0) ** 3
     return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
 
@@ -197,6 +284,71 @@ def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:
     return rows, covered
 
 
+# Runs of rows whose float keys cannot order them, sorted by exact products
+# a batch at a time.
+_RUN_BATCH = 1 << 12
+
+
+class _Powers(dict):
+    """c -> c**c, each computed when first read."""
+
+    def __missing__(self, c: int) -> int:
+        power = self[c] = c**c
+        return power
+
+
+def _exact_order(
+    rows: list, tol: float, descending: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The order of rows of _partition_rows by exact order product, and its tie flags.
+
+    Entry i of the order is the index in rows of the row placed i-th.
+    Walk order breaks ties, so partitions stay ascending inside a tie
+    group.  The rows are sorted by float key.  Where adjacent keys lie
+    within the relative error bound tol of each other, floats cannot tell
+    their products apart: each run of such rows gets exact products,
+    computed from c**c of only the parts it holds.  A run whose products
+    are all equal is one tie, put in walk order; any other run is sorted
+    by its exact products.  Rows in different runs differ by more than the
+    bound, so floats never decide a placement that exact products would
+    decide differently.  Flag i is whether the row placed i-th has the
+    same exact product as the one before it; only rows inside a run can.
+    """
+    keys = np.fromiter((row[0] for row in rows), dtype=np.float64, count=len(rows))
+    order = np.argsort(-keys if descending else keys, kind="stable")
+    keys = keys[order]
+    # near[i]: rows i-1 and i lie within the bound, and so in one run.
+    near = np.zeros(len(rows) + 1, dtype=bool)
+    near[1:-1] = ~(np.abs(np.diff(keys)) > (keys[:-1] + keys[1:]) * tol)
+    del keys
+    ties = np.zeros(len(rows), dtype=bool)
+    # The positions of the rows in runs, and where each run starts among them.
+    pos = np.flatnonzero(near[:-1] | near[1:])
+    run_starts = np.flatnonzero(~near[pos])
+    powers = _Powers()
+    sign = -1 if descending else 1
+    # A batch of whole runs at a time, so that few exact products are held.
+    cuts = [*run_starts[::_RUN_BATCH].tolist(), len(pos)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        at = pos[lo:hi]
+        linked = near[at]
+        members = order[at]
+        products = [math.prod(map(powers.__getitem__, rows[i][1])) for i in members.tolist()]
+        equal = np.fromiter(map(eq, products[1:], products), dtype=bool, count=len(at) - 1)
+        ties[at[1:]] = equal & linked[1:]
+        runs = np.cumsum(~linked)
+        order[at] = members[np.lexsort((members, runs))]
+        # A run whose products are not all equal is sorted by them.
+        for run in dict.fromkeys(runs[1:][linked[1:] & ~equal].tolist()):
+            first, end = np.searchsorted(runs, [run, run + 1]).tolist()
+            by_product = sorted(
+                zip((sign * p for p in products[first:end]), members[first:end].tolist())
+            )
+            order[at[first:end]] = [i for _, i in by_product]
+            ties[at[first + 1 : end]] = [x[0] == y[0] for x, y in zip(by_product, by_product[1:])]
+    return order, ties
+
+
 def top_tallies(n: int, a: int, count: int) -> list[int]:
     """Symbol-count tallies of the last count strings of the order of (n, a).
 
@@ -214,9 +366,9 @@ def top_tallies(n: int, a: int, count: int) -> list[int]:
     if not 0 < count <= a**n:
         raise ValueError(f"string count {count} out of range")
     rows, _ = _tail_rows(n, a, a**n - count)
-    rows.sort(key=itemgetter(0))
+    order, _ = _exact_order(rows, _key_tolerance(n, a))
     tallies = [0] * (n + 1)
-    for _, part, strings in rows:
+    for _, part, strings in map(rows.__getitem__, order.tolist()):
         take = min(strings, count)
         tallies[0] += take * (a - len(part))
         for c in part:
@@ -369,12 +521,13 @@ class ClassOrder:
     """The exact total order over all compositions of n into a parts.
 
     Storage and build time scale with the number of partitions of n.  The
-    build walks the partitions (see _partition_rows), sorts them by exact
-    order product descending with partitions ascending inside a tie, and
-    groups them into tie groups: maximal runs of rows sharing one exact
-    order product, hence one information content.  The exact products sort
-    and split the rows while the order is built; it keeps neither them nor
-    any class size.  It keeps the partitions, one row each of `_parts`, a
+    build walks the partitions (see _partition_rows), orders them by exact
+    order product descending with partitions ascending inside a tie (see
+    _exact_order), and groups them into tie groups: maximal runs of rows
+    sharing one exact order product, hence one information content.  The
+    float keys and the exact products of near keys order and split the rows
+    while the order is built; it keeps neither them nor any class size.  It
+    keeps the partitions, one row each of `_parts`, a
     small-int matrix with min(n, a) columns padded with zeros, and per tie
     group its first row in `_starts`, its information content in `_infos`
     and, in `_prefix`, the exact number of strings before it in the whole
@@ -404,36 +557,44 @@ class ClassOrder:
         self.alphabet_size = a
         self.total_strings = a**n
         rows, covered = _tail_rows(n, a, self._uncovered())
-        # Stable: partitions stay ascending inside each tie group.
-        rows.sort(key=itemgetter(0), reverse=True)
-
-        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        # Arrays, not lists, so that no per-group int or float outlives the
-        # build's transient rows in the allocator's pools.
-        starts, infos, prefix = array("q"), array("d"), [a**n - covered]
-        last = None
-        for i, (product, part, strings) in enumerate(rows):
-            if product == last:
-                prefix[-1] += strings
-                continue
-            last = product
-            starts.append(i)
-            # n*log2(n) - sum c*log2(c) over the parts, summed by fsum.
-            infos.append(xlogx[n] - math.fsum([xlogx[c] for c in part if c > 1]))
-            prefix.append(prefix[-1] + strings)
-        starts.append(len(rows))
-
-        cols = min(n, a)
-        pad = (0,) * cols
-        parts = np.fromiter(
-            chain.from_iterable(part + pad[len(part) :] for _, part, _ in rows),
-            dtype=np.min_scalar_type(n),
-            count=len(rows) * cols,
-        ).reshape(len(rows), cols)
+        order, ties = _exact_order(rows, _key_tolerance(n, a), descending=True)
+        starts = np.flatnonzero(~ties)
+        strings = np.fromiter(map(itemgetter(2), rows), dtype=object, count=len(rows))[order]
+        parts_of = [row[1] for row in rows]
         del rows
+        # Strings before each group: the running string total at its first
+        # row, and at the end.
+        prefix = list(
+            compress(
+                accumulate(strings, initial=a**n - covered), chain((~ties).tolist(), [True])
+            )
+        )
+        del strings, ties
+
+        # n*log2(n) - sum c*log2(c) over the parts of each group's first row,
+        # summed by fsum.
+        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+        infos = np.fromiter(
+            (
+                xlogx[n] - math.fsum(map(xlogx.__getitem__, parts_of[i]))
+                for i in order[starts].tolist()
+            ),
+            dtype=np.float64,
+            count=len(starts),
+        )
+        # The partitions padded with zeros, a row each, in walk order and then
+        # in the order's.
+        cols = min(n, a)
+        lengths = np.fromiter(map(len, parts_of), dtype=np.intp, count=len(parts_of))
+        parts = np.zeros((len(parts_of), cols), dtype=np.min_scalar_type(n))
+        parts[np.arange(cols) < lengths[:, None]] = np.fromiter(
+            chain.from_iterable(parts_of), dtype=parts.dtype, count=int(lengths.sum())
+        )
+        del parts_of
+        parts = parts[order]
         self._parts = parts
-        self._starts = np.array(starts, dtype=np.min_scalar_type(len(parts)))
-        self._infos = np.array(infos, dtype=np.float64)
+        self._starts = np.append(starts, len(parts)).astype(np.min_scalar_type(len(parts)))
+        self._infos = infos
         self._prefix = prefix
         # Each row's bytes as one fixed-width string.  Numpy drops trailing
         # zero bytes when it reads one out, and so does _find.

@@ -8,6 +8,7 @@ only usable at toy scales (a**n up to a few million strings; group_table
 handles any alphabet for n up to about 16).
 """
 
+import collections
 import itertools
 import math
 import struct
@@ -286,6 +287,26 @@ def group_table(n, a):
         (product, sorted(parts), strings, classes)
         for product, (parts, strings, classes) in sorted(groups.items(), reverse=True)
     ]
+
+
+def partition_rows(n, a):
+    """(order product, partition, strings) per partition of n into at most a parts.
+
+    Partitions are nonzero parts descending, listed lex ascending; strings
+    counts the strings of every class of the partition, its class size
+    times the distinct placements of its parts on the a symbols.
+    """
+    rows = []
+    for length in range(1, min(n, a) + 1):
+        for parts in itertools.combinations_with_replacement(range(n, 0, -1), length):
+            if sum(parts) != n:
+                continue
+            placements = math.perm(a, length)
+            for m in collections.Counter(parts).values():
+                placements //= math.factorial(m)
+            rows.append((order_product(parts), parts, class_size(parts) * placements))
+    rows.sort(key=lambda row: row[1])
+    return rows
 
 
 def group_tallies(n, a):

@@ -7,6 +7,7 @@ import threading
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate, islice, permutations, product
+from statistics import NormalDist
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,12 @@ from setshaping import (
 )
 from setshaping.compositions import (
     _WholeOrder,
+    _cover_limit,
     _even_split_product,
+    _key_tolerance,
     _partition_rows,
+    _tail_rows,
+    _upper_normal_quantile,
     _whole_order,
     check_composition_cap,
     top_tallies,
@@ -95,6 +100,14 @@ def same_table(order, table):
     """Whether the order still holds exactly these objects, none reassigned."""
     now = table_of(order)
     return now.keys() == table.keys() and all(now[name] is table[name] for name in table)
+
+
+def assert_same_arrays(order, other):
+    """The two orders hold equal tables: rows, groups, contents, prefix sums and keys."""
+    assert order._prefix == other._prefix
+    for name in ("_parts", "_starts", "_infos", "_keys", "_key_groups"):
+        got, want = getattr(order, name), getattr(other, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def cuts_at_group_edges(totals, infos):
@@ -465,20 +478,116 @@ class TestHead:
             order.head(9)
 
 
+WALK_CASES = [(n, a) for n in range(1, 15) for a in range(1, 7)]
+
+
+def walk_limits(products):
+    """Every third tie edge, on it and just below it, past the largest, and 0."""
+    limits = {0, products[-1] + 1}
+    for p in products[::3] + products[-1:]:
+        limits.update((p - 1, p))
+    return sorted(limits)
+
+
 class TestBoundedWalk:
     """The partition walk kept to the rows at or below an order product limit."""
 
-    @pytest.mark.parametrize("n, a", [(n, a) for n in range(1, 15) for a in range(1, 7)])
+    @pytest.mark.parametrize("n, a", WALK_CASES)
     def test_equals_the_filtered_full_walk(self, n, a):
         rows = _partition_rows(n, a)
-        products = sorted({row[0] for row in rows})
-        assert products[0] == _even_split_product(n, a)
-        # every third tie edge, on it and just below it, and past the largest
-        limits = {0, products[-1] + 1}
-        for p in products[::3] + products[-1:]:
-            limits.update((p - 1, p))
-        for limit in sorted(limits):
-            assert _partition_rows(n, a, limit) == [row for row in rows if row[0] <= limit]
+        products = [order_product(row[1]) for row in rows]
+        assert min(products) == _even_split_product(n, a)
+        for limit in walk_limits(sorted(set(products))):
+            assert _partition_rows(n, a, limit) == [
+                row for row, p in zip(rows, products) if p <= limit
+            ]
+
+    @pytest.mark.parametrize("n, a", WALK_CASES)
+    def test_equals_the_brute_force_walk(self, n, a):
+        want = oracles.partition_rows(n, a)
+        tol = _key_tolerance(n, a)
+        for limit in [None] + walk_limits(sorted({row[0] for row in want})):
+            got = _partition_rows(n, a, limit)
+            expected = [row for row in want if limit is None or row[0] <= limit]
+            assert [row[1:] for row in got] == [row[1:] for row in expected]
+            for (key, _, _), (product, _, _) in zip(got, expected):
+                assert abs(key - math.log(product)) <= key * tol
+
+    def test_limits_on_a_product_at_large_n(self):
+        # keys near 1.2e6, where one ulp is 2.3e-10: a limit equal to a
+        # row's exact product keeps that row and no row past it
+        n, a = 10**5, 2
+        first = _partition_rows(n, a, _even_split_product(n, a) << 1)
+        assert len(first) > 3
+        products = [order_product(row[1]) for row in first[:4]]
+        tol = _key_tolerance(n, a)
+        for (key, _, _), product in zip(first, products):
+            assert abs(key - math.log(product)) <= key * tol
+        for i, p in enumerate(products[:3]):
+            assert _partition_rows(n, a, p) == first[: i + 1]
+            assert _partition_rows(n, a, p - 1) == first[:i]
+
+
+class TestExactPath:
+    """With an infinite float error bound every decision is made on exact integers."""
+
+    @staticmethod
+    def exact_only(monkeypatch):
+        monkeypatch.setattr("setshaping.compositions._KEY_EPS", math.inf)
+
+    @pytest.mark.parametrize("n, a", WALK_CASES)
+    def test_walks_and_orders_are_unchanged(self, n, a, monkeypatch):
+        limits = [None] + walk_limits(sorted({row[0] for row in oracles.partition_rows(n, a)}))
+        walks = [_partition_rows(n, a, limit) for limit in limits]
+        whole, tail = _WholeOrder(n, a), ClassOrder(n, a)
+        tallies = [top_tallies(n, a, count) for count in range(1, a**n + 1, max(1, a**n // 50))]
+        self.exact_only(monkeypatch)
+        assert [_partition_rows(n, a, limit) for limit in limits] == walks
+        for order, built in ((whole, _WholeOrder(n, a)), (tail, ClassOrder(n, a))):
+            assert_same_arrays(built, order)
+        assert [
+            top_tallies(n, a, count) for count in range(1, a**n + 1, max(1, a**n // 50))
+        ] == tallies
+
+    def test_tail_is_unchanged(self, monkeypatch):
+        n, a = 101, 5
+        walk = _tail_rows(n, a, a**n >> 20)
+        tail = ClassOrder(n, a)
+        self.exact_only(monkeypatch)
+        assert _tail_rows(n, a, a**n >> 20) == walk
+        assert_same_arrays(ClassOrder(n, a), tail)
+
+
+class TestCoverLimit:
+    """The tail limits come from a normal quantile taken with math alone."""
+
+    @staticmethod
+    def statistics_limit(n, a, uncovered):
+        """_cover_limit with the quantile of statistics.NormalDist."""
+        k = a - 1
+        fraction = min(max(uncovered / a**n, 1e-300), 0.5)
+        z = -NormalDist().inv_cdf(fraction)
+        chi2 = k * max(1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k)), 0.0) ** 3
+        return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
+
+    # Table 1 (n = a, k = 1) and Table 2 (n = 100, k = 1, a = 2..10), both
+    # orders of each row; the (100|101, 3|5) tails are among them.
+    @pytest.mark.parametrize(
+        "n, a",
+        [(n, a) for a in range(2, 8) for n in (a, a + 1)]
+        + [(n, a) for a in range(2, 11) for n in (100, 101)],
+    )
+    def test_limits_are_unchanged(self, n, a):
+        # a tail leaves out a**n >> 20 strings; the top walk of a shaped
+        # mean at length n leaves out a**n - a**(n-1)
+        for uncovered in (a**n >> 20, a**n - a ** (n - 1)):
+            if uncovered:
+                assert _cover_limit(n, a, uncovered) == self.statistics_limit(n, a, uncovered)
+
+    def test_quantile_matches_statistics(self):
+        for p in [0.5, 0.4, 0.25, 0.1, 1e-3, 2.0**-20, 1e-10, 1e-100, 1e-250, 1e-300]:
+            want = -NormalDist().inv_cdf(p)
+            assert math.isclose(_upper_normal_quantile(p), want, rel_tol=1e-14, abs_tol=1e-15)
 
 
 class TestTopGroups:

@@ -218,6 +218,11 @@ class TestShapedAverage:
             assert math.isclose(got, want, rel_tol=1e-12) and got >= 0.0
         assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-14)
 
+    def test_long_binary_block_is_pinned(self):
+        # one bounded walk at n+k = 5001, which keeps 59 rows and
+        # tabulates no power or factorial of every count up to 5001
+        assert shaped_average_info_exact(2, 5000, 1) == 4999.660094087761
+
     def test_table2_rows_build_no_class_order(self, monkeypatch):
         monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
         for a in range(2, 6):

@@ -152,16 +152,10 @@ def test_composition_cap_is_checked_once_at_the_walk():
     assert found == [("compositions.py", "_tail_rows")]
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # scipy is a test dependency only: neither the import nor the float path
-    # of info_from_counts loads any of it
+def fresh_interpreter(code):
+    """Standard output of code run in a new interpreter that imports this package."""
     src = str(Path(setshaping.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import sys, setshaping\n"
-        "setshaping.info_from_counts([[1.5, 2.5], [4.0, 0.0]])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -170,7 +164,32 @@ def test_import_leaves_scipy_special_unloaded():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy is a test dependency only: neither the import nor the float path
+    # of info_from_counts loads any of it
+    code = (
+        "import sys, setshaping\n"
+        "setshaping.info_from_counts([[1.5, 2.5], [4.0, 0.0]])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_interpreter(code) == "[]"
+
+
+def test_shaped_mean_leaves_statistics_unloaded():
+    # the normal quantile of a tail's product limit comes from math alone,
+    # so a cold shaped mean, or a cold order build, imports no statistics;
+    # nor any other module, such as the numpy.ma that np.unique loads
+    code = (
+        "import sys, setshaping\n"
+        "loaded = set(sys.modules)\n"
+        "setshaping.shaped_average_info_exact(3, 100, 1)\n"
+        "setshaping.class_order(101, 3)\n"
+        "print(sorted(set(sys.modules) - loaded))"
+    )
+    assert fresh_interpreter(code) == "[]"
 
 
 # What the traced mc-table probe in benchmarks/workloads.py calls, beside the
