@@ -242,23 +242,31 @@ def _upper_normal_quantile(p: float) -> float:
     return z
 
 
+def _chi_square_upper_quantile(dof: int, p: float) -> float:
+    """x with P(X > x) about p for a chi-square X with dof >= 1 degrees of freedom.
+
+    The Wilson-Hilferty approximation: (X/dof)**(1/3) is about normal with
+    mean 1 - 2/(9 dof) and variance 2/(9 dof).  p is clamped to
+    [1e-300, 0.5] so that the normal quantile stays finite.
+    """
+    z = _upper_normal_quantile(min(max(p, 1e-300), 0.5))
+    return dof * max(1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof)), 0.0) ** 3
+
+
 def _cover_limit(n: int, a: int, uncovered: int) -> int:
     """An order product limit whose rows leave out about `uncovered` strings.
 
     For a uniformly random string, ln(product / least product) is about n
     times the divergence of its counts from the even split, which tends to
     half a chi-square variable with a-1 degrees of freedom.  The limit is
-    the least product raised by the Wilson-Hilferty approximation of that
-    variable's quantile at the fraction left out, rounded up to whole bits,
-    and one more bit for the finite n (on the Table 1 and Table 2 orders
-    and the n=100 tails it added at most 0.61 bits).  Only how many rows a
+    the least product raised by that variable's quantile at the fraction
+    left out (_chi_square_upper_quantile), rounded up to whole bits, and
+    one more bit for the finite n (on the Table 1 and Table 2 orders and
+    the n=100 tails it added at most 0.61 bits).  Only how many rows a
     walk visits depends on it: exact products still decide which rows are
     kept, and _tail_rows walks every row when the limit falls short.
     """
-    k = a - 1
-    # Clamped so that the normal quantile stays finite.
-    z = _upper_normal_quantile(min(max(uncovered / a**n, 1e-300), 0.5))
-    chi2 = k * max(1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k)), 0.0) ** 3
+    chi2 = _chi_square_upper_quantile(a - 1, uncovered / a**n)
     return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
 
 

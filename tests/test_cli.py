@@ -300,7 +300,7 @@ class TestTable2:
 
     def test_sampling_past_physical_memory_exits_4(self, capsys, monkeypatch):
         drawn = []
-        monkeypatch.setattr(montecarlo, "_physical_memory", lambda: 10**6)
+        monkeypatch.setattr(montecarlo, "_physical_memory", lambda: 10**5)
         monkeypatch.setattr(montecarlo, "shard_generator", lambda *args: drawn.append(args))
         code, out, err = run_cli(capsys, "table2", "--method", "mc", "-M", "100000")
         assert (code, out, drawn) == (4, "", [])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 
@@ -113,16 +114,37 @@ class TestSampling:
         assert np.array_equal(np.concatenate(chunks), whole)
 
     @pytest.mark.parametrize("length, dtype", [(101, np.uint8), (300, np.uint16)])
-    def test_rows_land_at_their_sample_index(self, length, dtype):
+    def test_rows_land_at_their_sample_index(self, monkeypatch, length, dtype):
+        # With no window the shaped estimator keeps every row.  The driver's
+        # sub-chunks, shard after shard, are the draws in sample order, each
+        # starting at the sample index of its first row.
         m = SHARD_SIZE + 17
         cfg = McConfig(alphabet_size=3, n=length - 1, k=1, samples=m, seed=6, threads=2)
-        counts, infos = montecarlo._sampled_shards(cfg, length, keep_counts=True)
+        parts = []
+        real = montecarlo._sampled_shards
+
+        def spy(config, length, consume):
+            def record(counts, infos, start):
+                kept = consume(counts, infos, start)
+                parts.append((start, *kept))
+                return kept
+
+            shards = real(config, length, record)
+            parts.sort(key=lambda part: part[0])
+            return shards
+
+        monkeypatch.setattr(montecarlo, "_sampled_shards", spy)
+        monkeypatch.setattr(montecarlo, "_WINDOW_MARGIN", math.inf)
+        estimate_shaped_average_info(cfg)
         want = np.concatenate(
             [
                 sample_compositions(shard_generator(6, i), length, 3, size)
                 for i, size in enumerate(montecarlo._shard_sizes(m))
             ]
         )
+        starts, infos, counts = zip(*parts)
+        assert list(starts) == np.cumsum([0] + [len(c) for c in counts[:-1]]).tolist()
+        counts, infos = np.concatenate(counts), np.concatenate(infos)
         assert counts.dtype == dtype
         assert np.array_equal(counts, want)
         assert infos.tobytes() == info_from_counts(want).tobytes()
@@ -248,10 +270,102 @@ class TestTieBand:
         counts = vectors[rng.integers(0, len(vectors), size=2 * SHARD_SIZE + 99)]
         counts = counts.astype(np.uint8)  # the dtype the estimator keeps at n+k=16
         band = rng.random(len(counts)) < 0.01
-        got = montecarlo._band_in_exact_order(counts, band)
+        got = np.flatnonzero(band)[montecarlo._band_in_exact_order(counts[band])]
         rows = {i: tuple(counts[i].tolist()) for i in np.flatnonzero(band).tolist()}
         want = sorted(rows, key=lambda i: (-oracles.order_product(rows[i]), rows[i], i))
         assert got.tolist() == want
+
+
+class TestWindow:
+    """The shaped estimator keeps only the samples below its window, and
+    draws again keeping all where the window falls short: below the cut, or
+    inside the cut's tie band.  Either way the estimate is the same."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """The length of every draw the shaped estimator makes."""
+        calls = []
+        real = montecarlo._sampled_shards
+
+        def spy(config, length, consume):
+            calls.append(length)
+            return real(config, length, consume)
+
+        monkeypatch.setattr(montecarlo, "_sampled_shards", spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "a, n, k, m",
+        [
+            (1, 9, 3, 64),
+            (2, 7, 1, 999),
+            (3, 50, 2, 5000),
+            (10, 100, 1, SHARD_SIZE + 17),
+            (10, 3, 1, 2000),
+            (16, 10, 2, 20_000),
+        ],
+    )
+    def test_forced_miss_changes_nothing(self, monkeypatch, passes, a, n, k, m):
+        cfg = McConfig(alphabet_size=a, n=n, k=k, samples=m, seed=31, threads=2)
+        want = repr(estimate_shaped_average_info(cfg))
+        monkeypatch.setattr(montecarlo, "_WINDOW_MARGIN", -1e9)
+        passes.clear()
+        assert repr(estimate_shaped_average_info(cfg)) == want
+        # An alphabet of one has no window to miss.
+        assert passes == [n + k] * (1 if a == 1 else 2)
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_window_at_the_cut_draws_again(self, monkeypatch, passes, above):
+        # At the cut value itself the window keeps fewer samples than the
+        # cut; one float above it, the window keeps the cut but falls
+        # inside its tie band.
+        m, a, length = 3000, 3, 41
+        cfg = McConfig(alphabet_size=a, n=length - 1, k=1, samples=m, seed=8)
+        want = repr(estimate_shaped_average_info(cfg))
+        drawn = sample_compositions(shard_generator(8, 0), length, a, m)
+        cut_value = np.sort(info_from_counts(drawn))[m // a - 1]
+        window = np.nextafter(cut_value, math.inf) if above else cut_value
+        monkeypatch.setattr(montecarlo, "_keep_window", lambda *_: float(window))
+        passes.clear()
+        assert repr(estimate_shaped_average_info(cfg)) == want
+        assert passes == [length, length]
+
+    @pytest.mark.parametrize("m, seeds", [(20_000, range(21)), (10**6, (0, 20))])
+    def test_table2_rows_draw_once(self, passes, m, seeds):
+        for a in range(2, 11):
+            for seed in seeds:
+                cfg = McConfig(alphabet_size=a, n=100, k=1, samples=m, seed=seed, threads=2)
+                estimate_shaped_average_info(cfg)
+        assert passes == [101] * (9 * len(seeds))
+
+    @pytest.mark.parametrize(
+        "a, n, k, draws",
+        [(1, 20, 1, 1), (3, 1, 2, 2), (6, 100, 1, 1), (10, 3, 1, 2), (16, 10, 2, 2)],
+    )
+    def test_thread_count_never_changes_results(self, passes, a, n, k, draws):
+        base = dict(alphabet_size=a, n=n, k=k, samples=2 * SHARD_SIZE + 1234, seed=79)
+        results = set()
+        for threads in (1, 2, 3):
+            passes.clear()
+            results.add(repr(estimate_shaped_average_info(McConfig(**base, threads=threads))))
+            assert len(passes) == draws
+        assert len(results) == 1
+
+
+class TestMeanAndStd:
+    """numpy's mean and std(ddof=1), taken in place on the contents."""
+
+    @pytest.mark.parametrize("size", [2, 3, 129, 1_000_003])
+    def test_bits_of_numpy_mean_and_std(self, size):
+        rng = np.random.default_rng(size)
+        for values in (
+            rng.standard_normal(size),
+            300 + 5 * rng.standard_normal(size),
+            rng.random(size) * 1e6,
+        ):
+            want = (float(values.mean()), float(values.std(ddof=1)))
+            got = montecarlo._mean_and_std(values.copy())
+            assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 class TestShapedOracle:
@@ -305,13 +419,15 @@ class TestGolden:
 class TestMemory:
     """Peak traced allocation against the bytes of the int64 count matrix.
 
-    Measured at 0.209 (source: contents and a scratch, 16.7 bytes a sample)
-    and 0.350 (shaped: also the uint8 counts, 28 bytes a sample).
+    Measured at 0.128 (source: the contents and each thread's sub-chunk,
+    10.2 bytes a sample) and 0.055 (shaped: the 14% of samples in the
+    window, their contents, uint8 counts and one copy of the contents,
+    4.4 bytes a sample).
     """
 
     @pytest.mark.parametrize(
         "estimator, limit",
-        [(estimate_average_info, 0.3), (estimate_shaped_average_info, 0.5)],
+        [(estimate_average_info, 0.16), (estimate_shaped_average_info, 0.1)],
     )
     def test_peak_against_count_matrix(self, estimator, limit):
         m, a = 16 * SHARD_SIZE, 10
@@ -343,9 +459,10 @@ class TestMemoryRefusal:
     @pytest.mark.parametrize(
         "estimator, a, n, per_sample",
         [
-            (estimate_average_info, 10, 100, 16),  # contents and a scratch
-            (estimate_shaped_average_info, 10, 100, 16 + 10),  # and uint8 counts
-            (estimate_shaped_average_info, 3, 299, 16 + 3 * 2),  # and uint16 counts
+            (estimate_average_info, 10, 100, 8),  # the contents
+            # A draw with no window: contents, their copy and uint8 counts
+            (estimate_shaped_average_info, 10, 100, 16 + 10),
+            (estimate_shaped_average_info, 3, 299, 16 + 3 * 2),  # or uint16 counts
         ],
     )
     def test_refused_just_below_its_arrays(
@@ -393,6 +510,21 @@ class TestDeterminism:
     def test_same_seed_same_estimate(self):
         cfg = McConfig(alphabet_size=4, n=30, k=1, samples=10_000, seed=3)
         assert estimate_average_info(cfg) == estimate_average_info(cfg)
+
+    def test_more_threads_than_cores_under_fast_switching(self):
+        # Workers write disjoint slices of the source contents and return
+        # their shards' kept rows; frequent thread switches must not lose or
+        # misplace any of them.
+        base = dict(alphabet_size=4, n=12, k=1, samples=6 * SHARD_SIZE + 5, seed=80)
+        want = [f(McConfig(**base)) for f in (estimate_average_info, estimate_shaped_average_info)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            cfg = McConfig(**base, threads=8)
+            got = [f(cfg) for f in (estimate_average_info, estimate_shaped_average_info)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     def test_different_seeds_differ(self):
         a = estimate_average_info(McConfig(alphabet_size=4, n=30, k=1, samples=1000, seed=0))

@@ -192,6 +192,21 @@ def test_shaped_mean_leaves_statistics_unloaded():
     assert fresh_interpreter(code) == "[]"
 
 
+def test_shaped_estimate_loads_only_the_sampler():
+    # a cold shaped estimate, its window's chi-square quantile and the exact
+    # order of its tie band included, imports no module beyond numpy's
+    # sampler, which numpy loads on first use; at n=3 it draws twice
+    code = (
+        "import sys, setshaping, numpy.random\n"
+        "loaded = set(sys.modules)\n"
+        "for n in (100, 3):\n"
+        "    config = setshaping.McConfig(alphabet_size=10, n=n, k=1, samples=5000)\n"
+        "    setshaping.estimate_shaped_average_info(config)\n"
+        "print(sorted(set(sys.modules) - loaded))"
+    )
+    assert fresh_interpreter(code) == "[]"
+
+
 # What the traced mc-table probe in benchmarks/workloads.py calls, beside the
 # estimators: the shard split and the per-shard sampler and content calls.
 # Only a traced run reaches the probe, so an untraced benchmark run would not
