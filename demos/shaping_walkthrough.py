@@ -5,12 +5,11 @@ content-sorted order of inputs and outputs, the resulting lookup table, and
 why exactly half of all length-3 strings can never appear as images.
 """
 
-from itertools import takewhile
-
 from setshaping import (
     NotInImageError,
     ShapingParameters,
     class_order,
+    composition_of,
     empirical_information_content,
     in_image,
     multinomial,
@@ -51,15 +50,17 @@ for r in range(a**n):
 
 # -- the boundary -------------------------------------------------------------
 
-order = class_order(n + k, a)
 target = a**n
-counts, offset = order.locate_string(target - 1)
-whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
+counts, offset = class_order(n + k, a).locate_string(target - 1)
+# The classes of the strings before the first string of the last class.
+before = (string_unrank(r, n + k, a) for r in range(target - 1 - offset))
+whole = dict.fromkeys(composition_of(s, a) for s in before)
 print(f"\ncut after {target} strings of length {n + k}:")
-print(f"  whole classes admitted: {[c for c, _ in whole]}")
+print(f"  whole classes admitted: {list(whole)}")
 print(f"  last admitted class: {counts}, {offset + 1} of its {multinomial(counts)} strings")
-# The last group that the first i+1 strings touch holds the i-th string.
-admitted, excluded = order.head(target)[0][-1], order.head(target + 1)[0][-1]
+admitted, excluded = (
+    empirical_information_content(string_unrank(r, n + k, a), a) for r in (target - 1, target)
+)
 print(f"  highest admitted content: {admitted:.4f}")
 print(f"  lowest excluded content:  {excluded:.4f}")
 

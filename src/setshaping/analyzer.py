@@ -16,9 +16,12 @@ lowest-content strings of length L = n+k is
 with each K_c an exact integer: the pairs of all a**L strings,
 a*comb(L,c)*(a-1)**(L-c), less those of the highest-content strings left
 out, which compositions.top_tallies counts off the few near-balanced
-partitions without building the order.  Both per-rank series read the cut
-from ClassOrder.head; the non-uniform shaped mean walks the classes of the
-two orders instead.  Nothing here enumerates strings.
+partitions without building the order.  Both per-rank series, and the
+output side of the non-uniform empirical shaped mean, take the tie groups
+of compositions._tie_groups up to the cut; the non-uniform shaped mean
+walks the classes of those groups otherwise.  Each reads its orders once,
+from one sorted partition walk, and builds no ClassOrder.  Nothing here
+enumerates strings.
 
 The selection cutoff slices the length-(n+k) order after exactly a**n
 strings.  When the cut lands inside a class, the selected members are the
@@ -36,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .compositions import _whole_order, top_tallies
+from .compositions import _iter_group_classes, _tie_groups, top_tallies
 from .errors import ResourceLimitError
 from .source import SourceEnsemble
 
@@ -112,6 +115,20 @@ def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> f
             return -math.inf
         log_p += c * math.log(p)
     return log_p
+
+
+def _head(length: int, a: int, count: int) -> Iterator[tuple[int, float]]:
+    """(strings, content) of each tie group the first count strings of the order touch.
+
+    The groups come from compositions._tie_groups; the last one gives only
+    the strings before the cut.
+    """
+    for content, strings, _ in _tie_groups(length, a):
+        take = min(strings, count)
+        yield take, content
+        count -= take
+        if not count:
+            return
 
 
 def average_info_exact(
@@ -197,21 +214,21 @@ def shaped_average_info(
             return (n + k) * math.log2(a)
         return shaped_average_info_exact(a, n, k)
 
-    order_x = _whole_order(n, a)
-    order_y = _whole_order(n + k, a)
     probs = ensemble.probabilities
 
+    def classes(length: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        for _, _, partitions in _tie_groups(length, a):
+            yield from _iter_group_classes(partitions, a)
+
     def x_runs() -> Iterator[tuple[int, float]]:
-        for counts, size in order_x.iter_classes():
+        for counts, size in classes(n):
             yield size, _log_probability(probs, counts)
 
     def y_runs() -> Iterator[tuple[int, float]]:
         if interpretation == "empirical":
-            infos, taken = order_y.head(a**n)
-            for info, strings in zip(infos, taken):
-                yield strings, float(info)
+            yield from _head(n + k, a, a**n)
         else:
-            for counts, size in order_y.iter_classes():
+            for counts, size in classes(n + k):
                 value = 0.0
                 for p, c in zip(probs, counts):
                     if c == 0:
@@ -263,7 +280,7 @@ def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         )
 
     def series(length: int) -> np.ndarray:
-        infos, taken = _whole_order(length, a).head(total)
-        return np.repeat(infos, np.array(taken, dtype=np.int64))
+        taken, infos = zip(*_head(length, a, total))
+        return np.repeat(np.array(infos), np.array(taken, dtype=np.int64))
 
     return series(n), series(n + k)

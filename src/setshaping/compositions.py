@@ -27,32 +27,37 @@ no table of powers or factorials.  _exact_order sorts the rows by key and hands 
 runs whose keys lie within the bound of each other to exact integer
 products, which order them and find the ties, so floats never decide a
 placement that exact products would decide differently, and flags the
-ties, which give the tie groups.  A ClassOrder keeps no products and no
-class sizes: a small-int matrix of the partitions, their
-bytes sorted for lookup, and, per tie group, its first row, its information
-content and the exact number of strings before it, about 100 bytes a row at
-n=101, a=5 against 570 with the rows kept whole.  Class sizes and class
+ties, which give the tie groups.  A ClassOrder keeps no products, no
+class sizes and no contents: a small-int matrix of the partitions, their
+bytes sorted for lookup, and, per tie group, its first row and the exact
+number of strings before it, about 110 bytes a row at n=101, a=5 against
+570 with the rows kept whole.  Class sizes and class
 counts are recomputed for the one group a query reads.  Given a product
 limit, the same walk keeps only the rows at or below it: the high-content
 end of the order, where nearly every string lies.  The limit is an exact
 product, and a key within the bound of its log is tested on exact
 products, so that tail is an exact suffix of the complete order and each of
 its tie groups is whole.  A ClassOrder is built as that tail, holding all
-but at most 2**-20 of the strings, and is never changed: a query below the
-tail, and every reader of the whole order, goes to the shared complete
-order, which _whole_order builds with one walk over every partition.
-top_tallies tallies the symbol counts of the highest-content strings off
-the rows of the same kind of tail, and builds no order.  Every walk starts
-in _tail_rows, which checks the composition cap first.
+but at most 2**-20 of the strings, and is never changed: it answers rank
+and selection, and a query below the tail goes to the shared complete
+order, which _whole_order builds with one walk over every partition.  A
+reader of the whole order from end to end (the per-rank series, the
+non-uniform shaped mean) takes _tie_groups: one walk over every
+partition, sorted as an order's, yielding each tie group's content,
+string total and partitions, and caching nothing.  top_tallies tallies
+the symbol counts of the highest-content strings off the rows of the same
+kind of tail, and builds no order.  Every walk starts in _tail_rows, which
+checks the composition cap first.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import accumulate, chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Iterator, Sequence
@@ -387,6 +392,26 @@ def top_tallies(n: int, a: int, count: int) -> list[int]:
     return tallies
 
 
+def _tie_groups(n: int, a: int) -> Iterator[tuple[float, int, list[tuple[int, ...]]]]:
+    """(content, strings, partitions) of each tie group of the order of (n, a), in order.
+
+    One walk over every partition, ordered by _exact_order as a ClassOrder
+    is.  The content is n*log2(n) - sum c*log2(c) over the parts of the
+    group's first partition, summed by fsum; strings is the group's string
+    total, and its partitions are ascending.  Nothing is cached: each call
+    walks again.
+    """
+    rows, _ = _tail_rows(n, a, 0)
+    order, ties = _exact_order(rows, _key_tolerance(n, a), descending=True)
+    xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
+    starts = [*np.flatnonzero(~ties).tolist(), len(rows)]
+    order = order.tolist()
+    for start, end in zip(starts, starts[1:]):
+        group = [rows[i] for i in order[start:end]]
+        content = xlogx[n] - math.fsum(map(xlogx.__getitem__, group[0][1]))
+        yield content, sum(map(itemgetter(2), group)), list(map(itemgetter(1), group))
+
+
 def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
     """Value -> multiplicity of the partition padded with zeros to a parts."""
     counts = {0: a - len(partition)}
@@ -496,6 +521,14 @@ def _lex_vectors(partition: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
         vec[i + 1 :] = reversed(vec[i + 1 :])
 
 
+def _iter_group_classes(
+    partitions: Sequence[Sequence[int]], a: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(composition, class size) pairs of one tie group's partitions, lex ascending."""
+    streams = [zip(_lex_vectors(part, a), repeat(multinomial(part))) for part in partitions]
+    return heapq.merge(*streams, key=itemgetter(0))
+
+
 def _zero_run(active: list[tuple[dict[int, int], int, int]], slots: int, t: int) -> int:
     """Length of the run of zeros that the t-th string of active starts with.
 
@@ -526,7 +559,7 @@ def _zero_run(active: list[tuple[dict[int, int], int, int]], slots: int, t: int)
 
 
 class ClassOrder:
-    """The exact total order over all compositions of n into a parts.
+    """Rank and selection over the exact order of the compositions of n into a parts.
 
     Storage and build time scale with the number of partitions of n.  The
     build walks the partitions (see _partition_rows), orders them by exact
@@ -534,28 +567,28 @@ class ClassOrder:
     _exact_order), and groups them into tie groups: maximal runs of rows
     sharing one exact order product, hence one information content.  The
     float keys and the exact products of near keys order and split the rows
-    while the order is built; it keeps neither them nor any class size.  It
-    keeps the partitions, one row each of `_parts`, a
+    while the order is built; it keeps neither them nor any class size nor
+    any content.  It keeps the partitions, one row each of `_parts`, a
     small-int matrix with min(n, a) columns padded with zeros, and per tie
-    group its first row in `_starts`, its information content in `_infos`
-    and, in `_prefix`, the exact number of strings before it in the whole
-    order.  A partition is looked up by its bytes: `_keys` holds every
-    row's bytes sorted and `_key_groups` the group of each.  Rank and
-    selection queries read one group's partitions, recompute their class
-    sizes and class counts (see _group_classes), and never materialize the
-    composition list.
+    group its first row in `_starts` and, in `_prefix`, the exact number of
+    strings before it in the whole order.  A partition is looked up by its
+    bytes: `_keys` holds every row's bytes sorted and `_key_groups` the
+    group of each.  Rank and selection queries read one group's
+    partitions, recompute their class sizes and class counts (see
+    _group_classes), and never materialize the composition list.  A reader
+    of the whole order, group by group, takes _tie_groups instead.
 
     The order is built once, as its high-content tail: the rows up to a
     product limit that leaves out at most a**n >> 20 strings (see
     _tail_rows), so a random string almost always lies in it.  The limit is
     an exact product, so the tail is an exact suffix of the complete order
     and each of its tie groups is whole; _prefix[0] is the number of
-    strings below it, 0 for a complete order.  No field is reassigned
-    after __init__, so threads may share an order.  A tail hands a rank or
-    selection query that falls below it, and every reader of the whole
-    order (head, iter_classes and the group_* tables), to the shared
-    complete order of (n, a) (see _whole_order), so their answers and
-    group indices are those of the complete order.
+    strings below it, 0 for a complete order.  The group tables
+    (group_partitions, group_products) list the groups the order holds.
+    No field is reassigned after __init__, so threads may share an order.
+    A tail hands a rank or selection query that falls below it to the
+    shared complete order of (n, a) (see _whole_order), whose answers are
+    the same.
     """
 
     def __init__(self, n: int, a: int):
@@ -579,17 +612,6 @@ class ClassOrder:
         )
         del strings, ties
 
-        # n*log2(n) - sum c*log2(c) over the parts of each group's first row,
-        # summed by fsum.
-        xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
-        infos = np.fromiter(
-            (
-                xlogx[n] - math.fsum(map(xlogx.__getitem__, parts_of[i]))
-                for i in order[starts].tolist()
-            ),
-            dtype=np.float64,
-            count=len(starts),
-        )
         # The partitions padded with zeros, a row each, in walk order and then
         # in the order's.
         cols = min(n, a)
@@ -602,14 +624,13 @@ class ClassOrder:
         parts = parts[order]
         self._parts = parts
         self._starts = np.append(starts, len(parts)).astype(np.min_scalar_type(len(parts)))
-        self._infos = infos
         self._prefix = prefix
         # Each row's bytes as one fixed-width string.  Numpy drops trailing
         # zero bytes when it reads one out, and so does _find.
         keys = parts.view(np.dtype((np.bytes_, cols * parts.itemsize)))[:, 0]
         by_key = np.argsort(keys, kind="stable")
         groups = np.repeat(
-            np.arange(len(infos), dtype=np.min_scalar_type(len(infos))), np.diff(self._starts)
+            np.arange(len(starts), dtype=np.min_scalar_type(len(starts))), np.diff(self._starts)
         )
         self._keys = keys[by_key]
         self._key_groups = groups[by_key]
@@ -620,14 +641,12 @@ class ClassOrder:
 
     @property
     def group_products(self) -> list[int]:
-        """Order product of each tie group, descending."""
+        """Order product of each tie group the order holds, descending."""
         return [order_product(parts[0]) for parts in self.group_partitions]
 
     @property
     def group_partitions(self) -> list[list[tuple[int, ...]]]:
-        """Partitions of each tie group, ascending."""
-        if self._prefix[0]:
-            return _whole_order(self.n, self.alphabet_size).group_partitions
+        """Partitions of each tie group the order holds, ascending."""
         parts = [tuple(filter(None, row)) for row in self._parts.tolist()]
         starts = self._starts.tolist()
         return [parts[s:e] for s, e in zip(starts, starts[1:])]
@@ -689,27 +708,13 @@ class ClassOrder:
 
     def locate_string(self, index: int) -> tuple[tuple[int, ...], int]:
         """Composition holding the index-th string overall, plus the offset within it."""
+        index = operator.index(index)
         if not 0 <= index < self.total_strings:
             raise ValueError(f"string index {index} out of range")
         if index < self._prefix[0]:
             return _whole_order(self.n, self.alphabet_size).locate_string(index)
         gi = bisect_right(self._prefix, index) - 1
         return self._select_in_group(gi, index - self._prefix[gi])
-
-    def head(self, count: int) -> tuple[np.ndarray, list[int]]:
-        """The first count strings of the order, one tie group at a time.
-
-        Returns the information contents of the groups they touch and how
-        many strings each group gives: all of its strings, except for the
-        last group, which the cut may split.
-        """
-        if not 0 < count <= self.total_strings:
-            raise ValueError(f"string count {count} out of range")
-        if self._prefix[0]:
-            return _whole_order(self.n, self.alphabet_size).head(count)
-        end = bisect_left(self._prefix, count)
-        bounds = [*self._prefix[:end], count]
-        return self._infos[:end], [y - x for x, y in zip(bounds, bounds[1:])]
 
     def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
         # Per row still consistent with the vector so far: its remaining
@@ -747,24 +752,6 @@ class ClassOrder:
                 slots -= 1
             active = survivors
         return tuple(vector), t
-
-    # -- iteration -------------------------------------------------------
-
-    def _iter_group_classes(self, gi: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        """(composition, class size) pairs of one tie group, lex ascending."""
-        streams = [
-            zip(_lex_vectors(part, self.alphabet_size), repeat(multinomial(part)))
-            for part in self._partitions(gi)
-        ]
-        yield from heapq.merge(*streams, key=itemgetter(0))
-
-    def iter_classes(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Every (composition, class size) pair in exact order."""
-        if self._prefix[0]:
-            yield from _whole_order(self.n, self.alphabet_size).iter_classes()
-            return
-        for gi in range(len(self._infos)):
-            yield from self._iter_group_classes(gi)
 
 
 _ORDER_CACHE: dict[tuple[int, int], ClassOrder] = {}

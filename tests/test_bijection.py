@@ -59,6 +59,13 @@ class TestRanking:
         with pytest.raises(ValueError):
             string_unrank(-1, 2, 2)
 
+    def test_unrank_takes_integer_ranks_only(self):
+        # a float rank is refused, even an integral one, and a numpy integer is a rank
+        for rank in (1.5, 2.0):
+            with pytest.raises(TypeError):
+                string_unrank(rank, 3, 2)
+        assert string_unrank(np.int64(2), 3, 2) == string_unrank(2, 3, 2)
+
     def test_rank_validates_symbols(self):
         with pytest.raises(InvalidSymbolError):
             string_rank([0, 2], 2)

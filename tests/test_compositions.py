@@ -28,9 +28,11 @@ from setshaping.compositions import (
     _WholeOrder,
     _cover_limit,
     _even_split_product,
+    _iter_group_classes,
     _key_tolerance,
     _partition_rows,
     _tail_rows,
+    _tie_groups,
     _upper_normal_quantile,
     _whole_order,
     check_composition_cap,
@@ -38,9 +40,9 @@ from setshaping.compositions import (
 )
 
 
-# Bytes a tail row retains, with its share of the per-group arrays: 101
-# at (101, 5) with Python 3.11 and numpy 2.4.
-PER_ROW_LIMIT = 125
+# Bytes a tail row retains, with its share of the per-group arrays: 110.1
+# at (101, 5) with Python 3.11.7 and numpy 2.4.6.
+PER_ROW_LIMIT = 111
 
 
 def compositions():
@@ -72,9 +74,9 @@ def group_of(order, counts):
     return complete(order)._find(sorted(filter(None, counts), reverse=True))
 
 
-def group_infos(order):
-    """Information content of each tie group of the complete order, ascending."""
-    return complete(order)._infos
+def group_infos(n, a):
+    """Information content of each tie group of the order of (n, a), ascending."""
+    return [content for content, _, _ in _tie_groups(n, a)]
 
 
 def group_string_totals(order):
@@ -83,12 +85,35 @@ def group_string_totals(order):
     return [y - x for x, y in zip(prefix, prefix[1:])]
 
 
-def info_at(order, index):
-    """Information content of the string at the given position of the order.
+def head(n, a, count):
+    """The first count strings of the order of (n, a), one tie group at a time.
+
+    Returns the information contents of the groups they touch and how many
+    strings each group gives: all of its strings, except for the last
+    group, which the cut may split.
+    """
+    if not 0 < count <= a**n:
+        raise ValueError(f"string count {count} out of range")
+    infos, taken = [], []
+    for content, strings, _ in _tie_groups(n, a):
+        infos.append(content)
+        taken.append(min(strings, count))
+        count -= taken[-1]
+        if not count:
+            return infos, taken
+
+
+def info_at(n, a, index):
+    """Information content of the string at the given position of the order of (n, a).
 
     The last tie group that the first index+1 strings touch holds it.
     """
-    return float(order.head(index + 1)[0][-1])
+    return head(n, a, index + 1)[0][-1]
+
+
+def classes(n, a):
+    """Every (composition, class size) pair of the order of (n, a), in order."""
+    return [pair for _, _, parts in _tie_groups(n, a) for pair in _iter_group_classes(parts, a)]
 
 
 def table_of(order):
@@ -103,9 +128,9 @@ def same_table(order, table):
 
 
 def assert_same_arrays(order, other):
-    """The two orders hold equal tables: rows, groups, contents, prefix sums and keys."""
+    """The two orders hold equal tables: rows, groups, prefix sums and keys."""
     assert order._prefix == other._prefix
-    for name in ("_parts", "_starts", "_infos", "_keys", "_key_groups"):
+    for name in ("_parts", "_starts", "_keys", "_key_groups"):
         got, want = getattr(order, name), getattr(other, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -142,7 +167,7 @@ def library_compare(c1, c2):
 class TestCounting:
     def test_enumeration_length_matches_count(self):
         for n, a in [(1, 2), (4, 3), (6, 2), (5, 4)]:
-            comps = [c for c, _ in ClassOrder(n, a).iter_classes()]
+            comps = [c for c, _ in classes(n, a)]
             assert len(comps) == math.comb(n + a - 1, a - 1)
             assert len(set(comps)) == len(comps)
             assert all(sum(c) == n and len(c) == a for c in comps)
@@ -152,9 +177,8 @@ class TestCounting:
         # the oracle the tests enumerate with, and the order inside every tie group
         comps = list(oracles.compositions(5, 3))
         assert comps == sorted(comps)
-        order = ClassOrder(8, 5)
-        for gi in range(len(order.group_products)):
-            vectors = [v for v, _ in order._iter_group_classes(gi)]
+        for _, _, parts in _tie_groups(8, 5):
+            vectors = [v for v, _ in _iter_group_classes(parts, 5)]
             assert vectors == sorted(vectors)
 
     def test_multinomial_matches_factorials(self):
@@ -285,7 +309,7 @@ class TestSortedOrder:
     @pytest.mark.parametrize("a", [2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_matches_brute_force_class_order(self, n, a):
-        got = [c for c, _ in ClassOrder(n, a).iter_classes()]
+        got = [c for c, _ in classes(n, a)]
         seen = []
         for s in oracles.all_strings_sorted(n, a):
             c = oracles.counts_of(s, a)
@@ -294,11 +318,11 @@ class TestSortedOrder:
         assert got == seen
 
     def test_sizes_accompany_compositions(self):
-        for counts, size in ClassOrder(5, 3).iter_classes():
+        for counts, size in classes(5, 3):
             assert size == multinomial(counts)
 
     def test_info_is_nondecreasing_along_order(self):
-        infos = [oracles.composition_info_bits(c) for c, _ in ClassOrder(7, 3).iter_classes()]
+        infos = [oracles.composition_info_bits(c) for c, _ in classes(7, 3)]
         assert all(x <= y + 1e-12 for x, y in zip(infos, infos[1:]))
 
 
@@ -308,20 +332,20 @@ class TestClassOrder:
         assert sum(group_string_totals(order)) == 3**8
 
     def test_group_products_strictly_descending(self):
+        # the tail's own groups, and the complete order's
         order = ClassOrder(16, 5)
-        prods = order.group_products
-        assert all(x > y for x, y in zip(prods, prods[1:]))
+        for prods in (order.group_products, complete(order).group_products):
+            assert all(x > y for x, y in zip(prods, prods[1:]))
 
     def test_group_infos_strictly_increasing(self):
-        order = ClassOrder(16, 5)
-        infos = list(group_infos(order))
+        infos = group_infos(16, 5)
         assert all(x < y for x, y in zip(infos, infos[1:]))
 
     def test_cross_partition_tie_lands_in_one_group(self):
         order = ClassOrder(16, 5)
         gi = group_of(order, (4, 4, 4, 4, 0))
         assert group_of(order, (8, 2, 2, 2, 2)) == gi
-        assert len(order.group_partitions[gi]) == 2
+        assert len(complete(order).group_partitions[gi]) == 2
 
     def test_strings_before_class_matches_brute_force(self):
         n, a = 5, 3
@@ -346,11 +370,10 @@ class TestClassOrder:
 
     def test_info_at_matches_string_info(self):
         n, a = 5, 3
-        order = ClassOrder(n, a)
         strings = oracles.all_strings_sorted(n, a)
         for index in range(0, a**n, 7):
             assert math.isclose(
-                info_at(order, index), oracles.empirical_info(strings[index], a), abs_tol=1e-12
+                info_at(n, a, index), oracles.empirical_info(strings[index], a), abs_tol=1e-12
             )
 
     def test_index_bounds_checked(self):
@@ -360,7 +383,7 @@ class TestClassOrder:
         with pytest.raises(ValueError):
             order.locate_string(8)
         with pytest.raises(ValueError):
-            info_at(order, 8)
+            info_at(3, 2, 8)
 
     def test_foreign_composition_rejected(self):
         order = ClassOrder(4, 2)
@@ -380,7 +403,7 @@ class TestClassOrder:
         # past n=255 the parts are stored in two bytes, so a partition's key
         # holds zero bytes inside (256) and at its end
         order = ClassOrder(300, 2)
-        products = order.group_products
+        products = complete(order).group_products
         tail = ClassOrder(300, 2)
         # the tail first, then past it
         for c in (150, 151, 160, 140, 256, 44, 0, 1, 299, 300):
@@ -392,17 +415,16 @@ class TestClassOrder:
 
     def test_iter_group_classes_is_lex_within_group(self):
         # (16, 5) is built as a tail: gi indexes the groups of the complete order
-        order = complete(ClassOrder(16, 5))
-        gi = group_of(order, (4, 4, 4, 4, 0))
-        got = list(order._iter_group_classes(gi))
+        gi = group_of(ClassOrder(16, 5), (4, 4, 4, 4, 0))
+        _, _, parts = list(_tie_groups(16, 5))[gi]
+        got = list(_iter_group_classes(parts, 5))
         vectors = [v for v, _ in got]
         assert vectors == sorted(vectors)
         assert len(vectors) == oracles.group_table(16, 5)[gi][3]
         assert all(size == multinomial(v) for v, size in got)
 
     def test_iter_classes_agrees_with_materialized_list(self):
-        order = ClassOrder(6, 4)
-        assert list(order.iter_classes()) == oracles.sorted_compositions(6, 4)
+        assert classes(6, 4) == oracles.sorted_compositions(6, 4)
 
     def test_shared_instances_are_cached(self):
         assert class_order(7, 2) is class_order(7, 2)
@@ -433,11 +455,10 @@ class TestClassOrder:
 
 
 class TestHead:
-    """The first count strings of the order, as tie-group contents and counts."""
+    """The first count strings of the order, from the tie groups of one sorted walk."""
 
     @pytest.mark.parametrize("n, a", [(4, 2), (3, 3), (4, 3), (3, 4)])
     def test_every_cut_against_sorted_strings(self, n, a):
-        order = ClassOrder(n, a)
         strings = oracles.all_strings_sorted(n, a)
         products = [oracles.order_product(oracles.counts_of(s, a)) for s in strings]
         edges = {0}
@@ -445,7 +466,7 @@ class TestHead:
             if products[i] != products[i - 1]:
                 edges.add(i)
         for count in range(1, a**n + 1):
-            infos, taken = order.head(count)
+            infos, taken = head(n, a, count)
             # one run per tie group the first count strings touch
             runs = []
             for i in range(count):
@@ -459,23 +480,14 @@ class TestHead:
         # the cases: inside the first group, on a group edge, inside a later group
         first_edge = min(edges - {0})
         assert first_edge > 1 and any(e + 1 not in edges for e in edges - {0})
-        assert order.head(first_edge)[1] == [first_edge]
-        assert order.head(a**n)[1] == group_string_totals(order)
+        assert head(n, a, first_edge)[1] == [first_edge]
+        assert head(n, a, a**n)[1] == group_string_totals(ClassOrder(n, a))
 
     @pytest.mark.parametrize("n, a", SMALL_ORDERS)
     def test_every_group_edge_against_the_oracle(self, n, a):
-        order = ClassOrder(n, a)
         for count, infos, taken in cuts_at_group_edges(*oracle_groups(n, a)):
-            got_infos, got_taken = order.head(count)
             # bit for bit: each group's content comes from its first partition
-            assert (got_infos.tolist(), got_taken) == (infos, taken)
-
-    def test_count_bounds_checked(self):
-        order = ClassOrder(3, 2)
-        with pytest.raises(ValueError):
-            order.head(0)
-        with pytest.raises(ValueError):
-            order.head(9)
+            assert head(n, a, count) == (infos, taken)
 
 
 WALK_CASES = [(n, a) for n in range(1, 15) for a in range(1, 7)]
@@ -540,11 +552,13 @@ class TestExactPath:
         limits = [None] + walk_limits(sorted({row[0] for row in oracles.partition_rows(n, a)}))
         walks = [_partition_rows(n, a, limit) for limit in limits]
         whole, tail = _WholeOrder(n, a), ClassOrder(n, a)
+        groups = list(_tie_groups(n, a))
         tallies = [top_tallies(n, a, count) for count in range(1, a**n + 1, max(1, a**n // 50))]
         self.exact_only(monkeypatch)
         assert [_partition_rows(n, a, limit) for limit in limits] == walks
         for order, built in ((whole, _WholeOrder(n, a)), (tail, ClassOrder(n, a))):
             assert_same_arrays(built, order)
+        assert list(_tie_groups(n, a)) == groups
         assert [
             top_tallies(n, a, count) for count in range(1, a**n + 1, max(1, a**n // 50))
         ] == tallies
@@ -691,18 +705,21 @@ class TestTail:
             assert (cache[(n, a)] is order) == (base == 0)
             check(order, balanced + ends, tail_indices + head_indices)
             assert same_table(order, table)
-            assert order.group_products == whole.group_products
+            # the tail's group tables are the suffix of the complete order's
+            products = order.group_products
+            assert products == whole.group_products[len(whole.group_products) - len(products) :]
 
     @pytest.mark.parametrize("n, a", [(40, 3), (30, 4), (101, 5)])
     def test_tail_is_a_suffix_of_the_complete_table(self, n, a):
         tail = ClassOrder(n, a)
         full = _WholeOrder(n, a)
         assert tail._prefix[0] > 0
-        g = len(tail._infos)
-        skipped_rows, skipped_groups = len(full._parts) - len(tail._parts), len(full._infos) - g
+        g = len(tail._starts) - 1
+        skipped_rows = len(full._parts) - len(tail._parts)
+        skipped_groups = len(full._starts) - g - 1
         assert tail._parts.tolist() == full._parts[skipped_rows:].tolist()
         assert [s + skipped_rows for s in tail._starts.tolist()] == full._starts[-g - 1 :].tolist()
-        assert tail._infos.tolist() == full._infos[-g:].tolist()
+        assert tail.group_partitions == full.group_partitions[-g:]
         assert tail._prefix == full._prefix[-g - 1 :]
         # the lookup finds every tail partition in the group the full table has
         for gi in range(g):
@@ -779,7 +796,7 @@ class TestTail:
 
 
 class TestWholeOrderReaders:
-    """A reader of the whole order walks each cold order once, in full."""
+    """A reader of the whole order walks each order once, in full, and caches nothing."""
 
     @pytest.mark.parametrize(
         "read, orders",
@@ -790,13 +807,14 @@ class TestWholeOrderReaders:
         ids=["rank_info_series", "shaped_average_info"],
     )
     def test_one_walk_per_order(self, read, orders, monkeypatch):
-        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        cache = {}
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
         walks = counted_walks(monkeypatch)
         first = read()
-        assert walks == [()] * orders
-        # then the orders are cached
+        assert walks == [()] * orders and cache == {}
+        # nothing is cached, so each call walks again
         assert repr(read()) == repr(first)
-        assert walks == [()] * orders
+        assert walks == [()] * 2 * orders and cache == {}
 
 
 class TestGroupTableOracle:
@@ -809,14 +827,20 @@ class TestGroupTableOracle:
     def test_matches_brute_force_groups(self, n, a):
         order = ClassOrder(n, a)
         table = oracles.group_table(n, a)
-        assert order.group_products == [g[0] for g in table]
-        assert order.group_partitions == [g[1] for g in table]
+        whole = complete(order)
+        assert whole.group_products == [g[0] for g in table]
+        assert whole.group_partitions == [g[1] for g in table]
+        # a tail lists its own groups, the last ones of the complete order
+        own = order.group_partitions
+        assert own == whole.group_partitions[len(table) - len(own) :]
         assert group_string_totals(order) == [g[2] for g in table]
+        groups = list(_tie_groups(n, a))
+        assert [(parts, strings) for _, strings, parts in groups] == [(g[1], g[2]) for g in table]
         # bit for bit: the value oracles.composition_info_bits gives the first partition
-        assert group_infos(order).tolist() == [oracles.composition_info_bits(g[1][0]) for g in table]
+        assert group_infos(n, a) == [oracles.composition_info_bits(g[1][0]) for g in table]
         if math.comb(n + a - 1, a - 1) <= 10**4:
             expected = oracles.sorted_compositions(n, a)
-            assert list(order.iter_classes()) == expected
+            assert classes(n, a) == expected
             # rank and selection at every class, cross-partition ties included
             start = 0
             for counts, size in expected:
@@ -826,16 +850,21 @@ class TestGroupTableOracle:
                 start += size
         else:
             # a vectors of length a are too many to list; check each group's head
-            for gi, (_, parts, _, _) in enumerate(table):
-                for vector, size in islice(order._iter_group_classes(gi), 3):
+            for (_, parts, _, _), (_, _, got) in zip(table, groups):
+                for vector, size in islice(_iter_group_classes(got, a), 3):
                     assert tuple(sorted(filter(None, vector), reverse=True)) in parts
                     assert size == oracles.class_size(vector)
 
-    def test_benchmark_order_size_is_pinned(self):
-        # the traced benchmark reports these counts for its a=5, n+k=101 build
-        order = class_order(101, 5)
-        assert sum(len(parts) for parts in order.group_partitions) == 48006
-        assert len(order.group_products) == 47820
+    def test_benchmark_order_size_is_pinned(self, monkeypatch):
+        # the traced benchmark reports the counts of its cold a=5, n+k=101
+        # build, a tail; the complete order holds every partition
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        for order, partitions, groups in (
+            (class_order(101, 5), 10658, 10642),
+            (_whole_order(101, 5), 48006, 47820),
+        ):
+            assert sum(len(parts) for parts in order.group_partitions) == partitions
+            assert len(order.group_products) == groups
 
 
 class TestZeroRuns:

@@ -23,7 +23,7 @@ from setshaping import (
 )
 from setshaping import compositions
 from test_acceptance import TABLE2_REFERENCE
-from test_compositions import counted_walks, info_at
+from test_compositions import classes, counted_walks, head, info_at
 
 # brute-force means, frozen from full string enumeration (n = a, k = 1)
 UNIFORM_GRID = {
@@ -38,13 +38,13 @@ SERIES_MEAN_X = 14.262958859199115
 SERIES_MEAN_Y = 14.136160870893569
 
 
-def _head_mean(order, count):
-    """Plain mean content of the first count strings of the order.
+def _head_mean(n, a, count):
+    """Plain mean content of the first count strings of the order of (n, a).
 
     The reference the uniform shaped mean is checked against: a sum over
     the tie groups of the complete order, not over symbol-count tallies.
     """
-    infos, taken = order.head(count)
+    infos, taken = head(n, a, count)
     # Past 2**960 strings, scale the counts by an exact power of two so that
     # strings*info stays in float range; binary scaling changes no bit of a
     # mean that is finite without it.
@@ -173,7 +173,7 @@ class TestShapedAverage:
         got = shaped_average_info(SourceEnsemble.uniform(a), n, k)
         want = oracles.shaped_source_mean(n, k, (1 / a,) * a)
         assert math.isclose(got, want, rel_tol=1e-12)
-        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-14)
+        assert math.isclose(got, _head_mean(n + k, a, a**n), rel_tol=1e-14)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -183,7 +183,7 @@ class TestShapedAverage:
     )
     def test_top_route_matches_the_head_of_the_full_order(self, a, n, k):
         got = shaped_average_info_exact(a, n, k)
-        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-14)
+        assert math.isclose(got, _head_mean(n + k, a, a**n), rel_tol=1e-14)
         if a ** (n + k) <= 3**9:
             assert math.isclose(got, oracles.shaped_mean_info(n, a, k), rel_tol=1e-12)
 
@@ -216,7 +216,7 @@ class TestShapedAverage:
         if a ** (n + k) <= 2**16:
             want = oracles.shaped_mean_info(n, a, k)
             assert math.isclose(got, want, rel_tol=1e-12) and got >= 0.0
-        assert math.isclose(got, _head_mean(class_order(n + k, a), a**n), rel_tol=1e-14)
+        assert math.isclose(got, _head_mean(n + k, a, a**n), rel_tol=1e-14)
 
     def test_long_binary_block_is_pinned(self):
         # one bounded walk at n+k = 5001, which keeps 59 rows and
@@ -306,11 +306,10 @@ class TestShapedAverage:
     def test_scaling_changes_no_bit(self):
         # 2**1000 strings get scaled by 2**-40; every product stays in float
         # range unscaled too, and the two means agree bit for bit
-        order = class_order(1001, 2)
-        infos, taken = order.head(2**1000)
+        infos, taken = head(1001, 2, 2**1000)
         plain = math.fsum([float(s) * float(i) for s, i in zip(taken, infos)])
         assert math.isfinite(plain)
-        assert _head_mean(order, 2**1000) == plain / float(2**1000)
+        assert _head_mean(1001, 2, 2**1000) == plain / float(2**1000)
 
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 0)])
     def test_shape_parameters_validated_for_every_source(self, n, k):
@@ -321,7 +320,7 @@ class TestShapedAverage:
 
 
 class TestSelectionBoundary:
-    """The cut after a**n strings of the length-(n+k) order, read off ClassOrder."""
+    """The cut after a**n strings of the length-(n+k) order, from rank queries and tie groups."""
 
     CASES = [(2, 3, 1), (2, 4, 2), (3, 2, 1), (3, 4, 1), (4, 2, 1)]
 
@@ -330,29 +329,28 @@ class TestSelectionBoundary:
         counts, offset = order.locate_string(2**2 - 1)
         assert counts == (1, 2)
         assert offset + 1 == 2 < multinomial(counts)
-        whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
+        whole = takewhile(lambda pair: pair[0] != counts, classes(3, 2))
         assert [c for c, _ in whole] == [(0, 3), (3, 0)]
-        assert math.isclose(info_at(order, 3), 3 * math.log2(3) - 2, abs_tol=1e-12)
-        assert math.isclose(info_at(order, 4), 3 * math.log2(3) - 2, abs_tol=1e-12)
+        assert math.isclose(info_at(3, 2, 3), 3 * math.log2(3) - 2, abs_tol=1e-12)
+        assert math.isclose(info_at(3, 2, 4), 3 * math.log2(3) - 2, abs_tol=1e-12)
 
     def test_clean_cut_case(self):
         order = class_order(4, 3)
         counts, offset = order.locate_string(3**3 - 1)
         assert offset + 1 == multinomial(counts)
-        whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
+        whole = takewhile(lambda pair: pair[0] != counts, classes(4, 3))
         assert sum(size for _, size in whole) + multinomial(counts) == 27
 
     def test_selected_counts_add_up(self):
         for a, n, k in self.CASES:
             order = class_order(n + k, a)
             counts, offset = order.locate_string(a**n - 1)
-            whole = takewhile(lambda pair: pair[0] != counts, order.iter_classes())
+            whole = takewhile(lambda pair: pair[0] != counts, classes(n + k, a))
             assert sum(size for _, size in whole) + offset + 1 == a**n
 
     def test_max_selected_never_exceeds_min_complement(self):
         for a, n, k in self.CASES:
-            order = class_order(n + k, a)
-            assert info_at(order, a**n - 1) <= info_at(order, a**n) + 1e-12
+            assert info_at(n + k, a, a**n - 1) <= info_at(n + k, a, a**n) + 1e-12
 
     def test_complement_min_matches_brute_force(self):
         cases = {
@@ -362,7 +360,7 @@ class TestSelectionBoundary:
             (2, 4, 2): 5.5097750043269365,
         }
         for (a, n, k), want in cases.items():
-            assert math.isclose(info_at(class_order(n + k, a), a**n), want, abs_tol=1e-12)
+            assert math.isclose(info_at(n + k, a, a**n), want, abs_tol=1e-12)
             assert math.isclose(oracles.complement_min_info(n, a, k), want, abs_tol=1e-12)
 
 

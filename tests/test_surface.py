@@ -152,6 +152,32 @@ def test_composition_cap_is_checked_once_at_the_walk():
     assert found == [("compositions.py", "_tail_rows")]
 
 
+def test_complete_order_is_built_only_below_a_tail():
+    # A complete order is built only for a rank or selection query below a
+    # tail; a reader of the whole order takes compositions._tie_groups.
+    def calls(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "_whole_order":
+                    yield owner
+            if isinstance(child, ast.ClassDef):
+                yield from calls(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from calls(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                yield from calls(child, owner)
+
+    found = []
+    for path in sorted(Path(setshaping.__file__).parent.glob("*.py")):
+        found.extend((path.name, owner) for owner in calls(ast.parse(path.read_text()), None))
+    assert found == [
+        ("compositions.py", "ClassOrder.strings_before_class"),
+        ("compositions.py", "ClassOrder.locate_string"),
+    ]
+
+
 def fresh_interpreter(code):
     """Standard output of code run in a new interpreter that imports this package."""
     src = str(Path(setshaping.__file__).parents[1])
