@@ -28,23 +28,35 @@ strings.  When the cut lands inside a class, the selected members are the
 first strings of that class in lexicographic order; their shared content
 makes the mean independent of that choice, but the rule keeps the selected
 set identical to the image of the shaping map.
+
+The analyzer keeps no copy of a rule another layer owns: a shaping
+instance (a, n, k) is checked by building bijection.ShapingParameters,
+whose plain-int fields the computation then reads, so a numpy integer
+cannot overflow in a**n; an interpretation name is checked by
+source._check_interpretation, and the literal content of a class is
+source._literal_bits of its count vector.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .bijection import ShapingParameters
 from .compositions import _iter_group_classes, _tie_groups, top_tallies
 from .errors import ResourceLimitError
-from .source import SourceEnsemble
+from .source import SourceEnsemble, _check_interpretation, _literal_bits
 
 # Largest a**n for which the per-rank series is materialized.
 SERIES_LIMIT = 10**7
+
+# The checked fields of a ShapingParameters, as (a, n, k).
+_shaping = operator.attrgetter("alphabet_size", "n", "k")
 
 
 @dataclass(frozen=True)
@@ -80,13 +92,6 @@ class AverageReport:
             "samples": self.samples,
             "seed": self.seed,
         }
-
-
-def _check_shaping(a: int, n: int, k: int) -> None:
-    if a < 2:
-        raise ValueError("shaping needs an alphabet of at least two symbols")
-    if n < 1 or k < 1:
-        raise ValueError("need n >= 1 and k >= 1")
 
 
 def _binomial_weights(n: int, num: int, den: int) -> Iterator[tuple[int, int]]:
@@ -144,8 +149,8 @@ def average_info_exact(
     never occur and contribute nothing.  No class order is built and no
     partition walked, so the composition cap does not apply.
     """
-    if interpretation not in ("empirical", "literal"):
-        raise ValueError(f"unknown interpretation {interpretation!r}")
+    _check_interpretation(interpretation)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("block length must be positive")
     a = ensemble.alphabet_size
@@ -182,7 +187,7 @@ def shaped_average_info_exact(a: int, n: int, k: int) -> float:
     float means; each term rounds K_c / a**n, c*log2(c) and their product
     once, and fsum rounds their sum once.
     """
-    _check_shaping(a, n, k)
+    a, n, k = _shaping(ShapingParameters(a, n, k))
     count, length = a**n, n + k
     left_out = top_tallies(length, a, a**length - count)
     terms = [length * math.log2(length)]
@@ -205,10 +210,8 @@ def shaped_average_info(
     enumerable scale.  Under a uniform source every length-(n+k) string has
     literal content (n+k)*log2(a), and so has their mean.
     """
-    if interpretation not in ("empirical", "literal"):
-        raise ValueError(f"unknown interpretation {interpretation!r}")
-    a = ensemble.alphabet_size
-    _check_shaping(a, n, k)
+    _check_interpretation(interpretation)
+    a, n, k = _shaping(ShapingParameters(ensemble.alphabet_size, n, k))
     if ensemble.is_uniform:
         if interpretation == "literal":
             return (n + k) * math.log2(a)
@@ -229,15 +232,7 @@ def shaped_average_info(
             yield from _head(n + k, a, a**n)
         else:
             for counts, size in classes(n + k):
-                value = 0.0
-                for p, c in zip(probs, counts):
-                    if c == 0:
-                        continue
-                    if p == 0.0:
-                        value = math.inf
-                        break
-                    value -= c * math.log2(p)
-                yield size, value
+                yield size, _literal_bits(probs, counts)
 
     def terms() -> Iterator[float]:
         ln2 = math.log(2.0)
@@ -272,7 +267,7 @@ def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     contents of all length-n strings, and the sorted contents of the a**n
     selected length-(n+k) strings.
     """
-    _check_shaping(a, n, k)
+    a, n, k = _shaping(ShapingParameters(a, n, k))
     total = a**n
     if total > SERIES_LIMIT:
         raise ResourceLimitError(

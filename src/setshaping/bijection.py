@@ -19,7 +19,7 @@ import numpy as np
 
 from .compositions import _lex_rank, _lex_select, class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
-from .source import validate_symbols
+from .source import _index_fields, validate_symbols
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class ShapingParameters:
     k: int = 1
 
     def __post_init__(self):
+        # A float field fails here, not in the rank arithmetic.
+        _index_fields(self)
         if self.alphabet_size < 2:
             raise ValueError("shaping needs an alphabet of at least two symbols")
         if self.n < 1:
@@ -72,12 +74,7 @@ def _block_rank(symbols: Sequence[int], params: ShapingParameters, length: int) 
 
 def string_unrank(rank: int, n: int, alphabet_size: int) -> tuple[int, ...]:
     """The rank-th string of length n; inverse of string_rank."""
-    order = class_order(n, alphabet_size)
-    if not 0 <= rank < order.total_strings:
-        raise ValueError(
-            f"rank {rank} out of range for {alphabet_size}**{n} strings"
-        )
-    counts, offset = order.locate_string(rank)
+    counts, offset = class_order(n, alphabet_size).locate_string(rank)
     present = {v: c for v, c in enumerate(counts) if c}
     return _lex_select(offset, present, multinomial(present.values()))
 

@@ -35,7 +35,7 @@ from .errors import (
     ShapingError,
 )
 from .montecarlo import McConfig, estimate_table
-from .source import SourceEnsemble
+from .source import _INTERPRETATIONS, SourceEnsemble
 
 def _round_floats(record: dict, digits: int) -> dict:
     out = {}
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--interpretation",
-        choices=("empirical", "literal"),
+        choices=_INTERPRETATIONS,
         default="empirical",
         help="which notion of content to tabulate (default %(default)s)",
     )
@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--interpretation",
-        choices=("empirical", "literal"),
+        choices=_INTERPRETATIONS,
         default="empirical",
         help="which notion of content to tabulate (default %(default)s)",
     )

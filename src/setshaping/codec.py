@@ -19,8 +19,11 @@ and high alone and read from a small window over the payload at once.
 
 Container layout: a little-endian header (format version u8, alphabet size
 u16, symbol count u64, payload bit length u64) followed by the payload,
-final byte zero-padded.  Code lengths quoted by this module are payload bit
-lengths: termination included, framing excluded.
+final byte zero-padded.  _read_header is the one reader of the header and
+makes every check of the framing, for decode and encoded_bit_length alike,
+so the bit length of a container decode refuses is refused too.  Code
+lengths quoted by this module are payload bit lengths: termination
+included, framing excluded.
 """
 
 from __future__ import annotations
@@ -106,10 +109,15 @@ def encode(symbols: Sequence[int], alphabet_size: int) -> bytes:
     return header + payload
 
 
-def decode(
+def _read_header(
     blob: bytes, n: int | None = None, alphabet_size: int | None = None
-) -> tuple[int, ...]:
-    """Invert encode; n and alphabet_size, when given, must match the header."""
+) -> tuple[int, int, int, bytes]:
+    """(alphabet size, symbol count, payload bit length, payload) of a container.
+
+    Every check of the container's framing is made here, so decode and
+    encoded_bit_length refuse the same containers; n and alphabet_size,
+    when given, must match the header.
+    """
     if len(blob) < HEADER.size:
         raise CorruptStreamError("container shorter than its header")
     version, a, count, bit_length = HEADER.unpack(blob[: HEADER.size])
@@ -131,6 +139,14 @@ def decode(
         raise CorruptStreamError("payload length disagrees with the recorded bit count")
     if bit_length % 8 and payload[-1] & ((1 << (8 - bit_length % 8)) - 1):
         raise CorruptStreamError("nonzero padding in the final byte")
+    return a, count, bit_length, payload
+
+
+def decode(
+    blob: bytes, n: int | None = None, alphabet_size: int | None = None
+) -> tuple[int, ...]:
+    """Invert encode; n and alphabet_size, when given, must match the header."""
+    a, count, _, payload = _read_header(blob, n, alphabet_size)
     if count == 0:
         return ()
 
@@ -190,10 +206,8 @@ def decode(
 
 
 def encoded_bit_length(blob: bytes) -> int:
-    """Payload bit length recorded in a container's header."""
-    if len(blob) < HEADER.size:
-        raise CorruptStreamError("container shorter than its header")
-    return HEADER.unpack(blob[: HEADER.size])[3]
+    """Payload bit length recorded in the header of a container decode accepts."""
+    return _read_header(blob)[2]
 
 
 def redundancy_bound_bits(n: int, alphabet_size: int) -> float:

@@ -102,6 +102,8 @@ def order_product(counts: Sequence[int]) -> int:
     for c in counts:
         if c > 1:
             result *= c**c
+        elif c < 0:
+            raise ValueError("counts must be nonnegative")
     return result
 
 
@@ -310,25 +312,24 @@ class _Powers(dict):
         return power
 
 
-def _exact_order(
-    rows: list, tol: float, descending: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _exact_order(rows: list, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The order of rows of _partition_rows by exact order product, and its tie flags.
 
-    Entry i of the order is the index in rows of the row placed i-th.
-    Walk order breaks ties, so partitions stay ascending inside a tie
-    group.  The rows are sorted by float key.  Where adjacent keys lie
-    within the relative error bound tol of each other, floats cannot tell
-    their products apart: each run of such rows gets exact products,
-    computed from c**c of only the parts it holds.  A run whose products
-    are all equal is one tie, put in walk order; any other run is sorted
-    by its exact products.  Rows in different runs differ by more than the
-    bound, so floats never decide a placement that exact products would
-    decide differently.  Flag i is whether the row placed i-th has the
-    same exact product as the one before it; only rows inside a run can.
+    Entry i of the order is the index in rows of the row placed i-th, by
+    order product descending as in a class order.  Walk order breaks ties,
+    so partitions stay ascending inside a tie group.  The rows are sorted
+    by float key, descending.  Where adjacent keys lie within the relative
+    error bound tol of each other, floats cannot tell their products
+    apart: each run of such rows gets exact products, computed from c**c
+    of only the parts it holds.  A run whose products are all equal is one
+    tie, put in walk order; any other run is sorted by its exact products.
+    Rows in different runs differ by more than the bound, so floats never
+    decide a placement that exact products would decide differently.  Flag
+    i is whether the row placed i-th has the same exact product as the one
+    before it; only rows inside a run can.
     """
     keys = np.fromiter((row[0] for row in rows), dtype=np.float64, count=len(rows))
-    order = np.argsort(-keys if descending else keys, kind="stable")
+    order = np.argsort(-keys, kind="stable")
     keys = keys[order]
     # near[i]: rows i-1 and i lie within the bound, and so in one run.
     near = np.zeros(len(rows) + 1, dtype=bool)
@@ -339,7 +340,6 @@ def _exact_order(
     pos = np.flatnonzero(near[:-1] | near[1:])
     run_starts = np.flatnonzero(~near[pos])
     powers = _Powers()
-    sign = -1 if descending else 1
     # A batch of whole runs at a time, so that few exact products are held.
     cuts = [*run_starts[::_RUN_BATCH].tolist(), len(pos)]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -355,7 +355,7 @@ def _exact_order(
         for run in dict.fromkeys(runs[1:][linked[1:] & ~equal].tolist()):
             first, end = np.searchsorted(runs, [run, run + 1]).tolist()
             by_product = sorted(
-                zip((sign * p for p in products[first:end]), members[first:end].tolist())
+                zip((-p for p in products[first:end]), members[first:end].tolist())
             )
             order[at[first:end]] = [i for _, i in by_product]
             ties[at[first + 1 : end]] = [x[0] == y[0] for x, y in zip(by_product, by_product[1:])]
@@ -372,16 +372,20 @@ def top_tallies(n: int, a: int, count: int) -> list[int]:
     highest-content strings lie on the few partitions of smallest order
     product, so only the tail that holds count strings is walked (see
     _tail_rows), and no order is built: the rows are taken by product
-    ascending until count strings are taken.  Partitions tied in product
-    share their sum of c*log2(c), so which rows of the last tie group give
-    its strings changes the tallies but not the content they give.
+    ascending, partitions ascending inside a tie, until count strings are
+    taken.  Partitions tied in product share their sum of c*log2(c), so
+    which rows of the last tie group give its strings changes the tallies
+    but not the content they give.
     """
     if not 0 < count <= a**n:
         raise ValueError(f"string count {count} out of range")
     rows, _ = _tail_rows(n, a, a**n - count)
+    # Reversed rows break ties in reverse walk order, so the order read
+    # backwards is product ascending with ties in walk order.
+    rows.reverse()
     order, _ = _exact_order(rows, _key_tolerance(n, a))
     tallies = [0] * (n + 1)
-    for _, part, strings in map(rows.__getitem__, order.tolist()):
+    for _, part, strings in map(rows.__getitem__, order[::-1].tolist()):
         take = min(strings, count)
         tallies[0] += take * (a - len(part))
         for c in part:
@@ -402,7 +406,7 @@ def _tie_groups(n: int, a: int) -> Iterator[tuple[float, int, list[tuple[int, ..
     walks again.
     """
     rows, _ = _tail_rows(n, a, 0)
-    order, ties = _exact_order(rows, _key_tolerance(n, a), descending=True)
+    order, ties = _exact_order(rows, _key_tolerance(n, a))
     xlogx = [0.0, 0.0] + [c * math.log2(c) for c in range(2, n + 1)]
     starts = [*np.flatnonzero(~ties).tolist(), len(rows)]
     order = order.tolist()
@@ -592,13 +596,14 @@ class ClassOrder:
     """
 
     def __init__(self, n: int, a: int):
+        n, a = operator.index(n), operator.index(a)
         if n < 1 or a < 1:
             raise ValueError("need n >= 1 and a >= 1")
         self.n = n
         self.alphabet_size = a
         self.total_strings = a**n
         rows, covered = _tail_rows(n, a, self._uncovered())
-        order, ties = _exact_order(rows, _key_tolerance(n, a), descending=True)
+        order, ties = _exact_order(rows, _key_tolerance(n, a))
         starts = np.flatnonzero(~ties)
         strings = np.fromiter(map(itemgetter(2), rows), dtype=object, count=len(rows))[order]
         parts_of = [row[1] for row in rows]
@@ -669,20 +674,13 @@ class ClassOrder:
     def _group_classes(self, gi: int) -> list[tuple[dict[int, int], int, int]]:
         """(padded multiset, class size, class count) of each partition of a tie group.
 
-        The class count is the number of distinct arrangements of the padded
-        multiset.  The class size is multinomial(partition), or, in a group
-        of one partition, the group's string total over the class count.
+        The class size is multinomial(partition) and the class count the
+        number of distinct arrangements of the padded multiset.
         """
-        parts = self._partitions(gi)
         out = []
-        for part in parts:
+        for part in self._partitions(gi):
             remaining = _padded_multiset(part, self.alphabet_size)
-            count = multinomial(remaining.values())
-            if len(parts) == 1:
-                size = (self._prefix[gi + 1] - self._prefix[gi]) // count
-            else:
-                size = multinomial(part)
-            out.append((remaining, size, count))
+            out.append((remaining, multinomial(part), multinomial(remaining.values())))
         return out
 
     def _checked(self, counts: Sequence[int]) -> tuple[int, ...]:
@@ -710,7 +708,9 @@ class ClassOrder:
         """Composition holding the index-th string overall, plus the offset within it."""
         index = operator.index(index)
         if not 0 <= index < self.total_strings:
-            raise ValueError(f"string index {index} out of range")
+            raise ValueError(
+                f"rank {index} out of range for {self.alphabet_size}**{self.n} strings"
+            )
         if index < self._prefix[0]:
             return _whole_order(self.n, self.alphabet_size).locate_string(index)
         gi = bisect_right(self._prefix, index) - 1
@@ -786,12 +786,13 @@ def _whole_order(n: int, a: int) -> ClassOrder:
 
 
 def _cached_order(n: int, a: int, whole: bool) -> ClassOrder:
-    key = (n, a)
+    # A float n or a would find the order of its integer in the cache.
+    key = (operator.index(n), operator.index(a))
     order = _ORDER_CACHE.get(key)
     if order is None or whole and order._prefix[0]:
         with _ORDER_LOCK:
             order = _ORDER_CACHE.get(key)
             if order is None or whole and order._prefix[0]:
-                order = (_WholeOrder if whole else ClassOrder)(n, a)
+                order = (_WholeOrder if whole else ClassOrder)(*key)
                 _ORDER_CACHE[key] = order
     return order

@@ -56,7 +56,7 @@ import numpy as np
 from .analyzer import AverageReport, average_info_exact, shaped_average_info_exact
 from .compositions import _chi_square_upper_quantile, order_product
 from .errors import DegenerateSampleError, ResourceLimitError
-from .source import SourceEnsemble
+from .source import SourceEnsemble, _index_fields
 
 SHARD_SIZE = 1 << 16
 _CHUNK_ROWS = 1 << 12
@@ -78,6 +78,8 @@ class McConfig:
     threads: int = 1
 
     def __post_init__(self):
+        # A fractional field fails here, before numpy truncates it in a draw.
+        _index_fields(self)
         if self.alphabet_size < 1:
             raise ValueError("alphabet must have at least one symbol")
         if self.n < 1:

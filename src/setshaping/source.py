@@ -8,13 +8,19 @@ content comes in two interpretations:
   own symbol counts c, so it depends only on the composition.
 
 The shaping analysis tabulates the empirical interpretation; the literal one
-stays available as a selectable mode.
+stays available as a selectable mode.  _INTERPRETATIONS names the two, for
+the command line too, and _check_interpretation is the one check of a name
+against them.  _literal_bits is the one sum of a count vector's literal
+content, for a single string here and for whole classes in the analyzer,
+and _index_fields the one integer check of the fields of ShapingParameters
+and McConfig.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +28,23 @@ import numpy as np
 from .errors import InvalidSymbolError
 
 PROB_SUM_TOL = 1e-12
+
+_INTERPRETATIONS = ("empirical", "literal")
+
+
+def _check_interpretation(interpretation: str) -> None:
+    if interpretation not in _INTERPRETATIONS:
+        raise ValueError(f"unknown interpretation {interpretation!r}")
+
+
+def _index_fields(instance) -> None:
+    """Take every field of a frozen dataclass of integers through operator.index.
+
+    A float field, even an integral one, raises TypeError; a numpy integer
+    becomes a plain int.
+    """
+    for field in fields(instance):
+        object.__setattr__(instance, field.name, operator.index(getattr(instance, field.name)))
 
 
 @dataclass(frozen=True)
@@ -100,12 +123,20 @@ def literal_information_content(
     if arr.size == 0:
         raise ValueError("a string must be nonempty")
     counts = np.bincount(arr, minlength=ensemble.alphabet_size)
+    total = _literal_bits(ensemble.probabilities, counts)
+    if total == math.inf:
+        raise InvalidSymbolError("string uses a zero-probability symbol")
+    return total
+
+
+def _literal_bits(probabilities: Sequence[float], counts: Sequence[int]) -> float:
+    """-sum_v c_v*log2(p_v) over the symbols that occur; inf if one has p_v = 0."""
     total = 0.0
-    for c, p in zip(counts, ensemble.probabilities):
+    for p, c in zip(probabilities, counts):
         if c == 0:
             continue
         if p == 0.0:
-            raise InvalidSymbolError("string uses a zero-probability symbol")
+            return math.inf
         total -= c * math.log2(p)
     return total
 
@@ -128,8 +159,7 @@ def information_content(
     interpretation: str = "empirical",
 ) -> float:
     """Dispatch between the two interpretations by name."""
-    if interpretation == "empirical":
-        return empirical_information_content(symbols, ensemble.alphabet_size)
+    _check_interpretation(interpretation)
     if interpretation == "literal":
         return literal_information_content(ensemble, symbols)
-    raise ValueError(f"unknown interpretation {interpretation!r}")
+    return empirical_information_content(symbols, ensemble.alphabet_size)

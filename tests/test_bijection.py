@@ -35,6 +35,16 @@ class TestParameters:
         with pytest.raises(ValueError):
             ShapingParameters(2, 4, 0)
 
+    def test_fields_are_integers(self):
+        # a float field is refused when the parameters are built, even an
+        # integral one, and numpy integers become plain ones
+        for args in [(2.0, 3), (2, 3.0), (2, 3, 1.0), (2, 3, "1")]:
+            with pytest.raises(TypeError):
+                ShapingParameters(*args)
+        got = ShapingParameters(np.int64(3), np.int32(10), np.uint8(2))
+        assert repr(got) == repr(ShapingParameters(3, 10, 2))
+        assert type(got.n) is int
+
 
 class TestRanking:
     @pytest.mark.parametrize("a", [2, 3])
@@ -54,10 +64,14 @@ class TestRanking:
         assert tuple(string_unrank(3, 2, 2)) == (1, 0)
 
     def test_unrank_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rank 4 out of range for 2\*\*2 strings"):
             string_unrank(4, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rank -1 out of range for 2\*\*2 strings"):
             string_unrank(-1, 2, 2)
+
+    def test_rank_of_empty_string_refused(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            string_rank([], 2)
 
     def test_unrank_takes_integer_ranks_only(self):
         # a float rank is refused, even an integral one, and a numpy integer is a rank

@@ -172,8 +172,14 @@ class TestRankCommands:
         assert (code, out) == (0, "120\n")
 
     def test_out_of_range_rank_is_argument_error(self, capsys):
-        code, _, _ = run_cli(capsys, "unrank", "4", "-n", "2", "-a", "2")
+        code, _, err = run_cli(capsys, "unrank", "4", "-n", "2", "-a", "2")
         assert code == 2
+        assert err == "error: rank 4 out of range for 2**2 strings\n"
+
+    def test_non_digit_symbol_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "rank", "2x", "-a", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: text mode expects decimal digits only\n"
 
     def test_resource_cap_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "rank", "0" * 40, "-a", "10")
@@ -398,6 +404,13 @@ class TestFileTransforms:
         src.write_text("21")
         code, _, _ = run_cli(capsys, "shape", str(src), "-a", "2", "-n", "2", "--text")
         assert code == 3
+
+    def test_byte_mode_alphabet_past_a_byte_is_argument_error(self, capsys, tmp_path):
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes(4))
+        code, out, err = run_cli(capsys, "shape", str(src), "-a", "257", "-n", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: byte mode supports alphabets up to 256 symbols\n"
 
     def test_byte_mode_round_trip_through_pipes(self, tmp_path):
         payload = bytes([0, 1, 2, 3, 2, 1, 0, 3] * 3)  # six blocks of n=4

@@ -127,6 +127,8 @@ class TestWireFormat:
         for cut in range(len(blob)):
             with pytest.raises(CorruptStreamError):
                 decode(blob[:cut])
+            with pytest.raises(CorruptStreamError):
+                encoded_bit_length(blob[:cut])
 
     def test_version_mismatch_detected(self):
         blob = bytearray(encode([0, 1], 2))
@@ -153,6 +155,32 @@ class TestWireFormat:
         blob = HEADER.pack(FORMAT_VERSION, 0, 3, 0)
         with pytest.raises(CorruptStreamError):
             decode(blob)
+
+    def test_block_past_the_coder_detected(self):
+        # 2*count + a reaches 2**30, which no encoded block can
+        blob = HEADER.pack(FORMAT_VERSION, 2, 2**29 - 1, 0)
+        with pytest.raises(CorruptStreamError, match="cannot produce"):
+            decode(blob)
+        # one below the bound passes that check and fails on its missing payload
+        with pytest.raises(CorruptStreamError, match="payload length"):
+            decode(HEADER.pack(FORMAT_VERSION, 1, 2**29 - 1, 8))
+
+    def test_bit_length_refuses_what_decode_refuses(self):
+        # each of these once had a bit length (10, 1000, 0 and 10) though
+        # decode refused it; now both refuse it with the same message
+        blob = encode([0, 0, 0, 0, 1, 1, 1], 2)
+        assert len(blob) == HEADER.size + 2 and encoded_bit_length(blob) == 10
+        containers = [
+            bytes([9]) + blob[1:],
+            HEADER.pack(FORMAT_VERSION, 2, 5, 1000),
+            HEADER.pack(FORMAT_VERSION, 0, 5, 0),
+            blob[:-1],
+        ]
+        for container in containers:
+            with pytest.raises(CorruptStreamError) as refused:
+                decode(container)
+            with pytest.raises(CorruptStreamError, match=str(refused.value)):
+                encoded_bit_length(container)
 
     def test_encode_validates_input(self):
         with pytest.raises(InvalidSymbolError):
@@ -247,6 +275,10 @@ class TestScaling:
 
 
 class TestShapingExperiment:
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            shaping_experiment(ShapingParameters(3, 10, 1), samples=0)
+
     def test_report_is_deterministic(self):
         params = ShapingParameters(3, 10, 1)
         a = shaping_experiment(params, samples=100, seed=4)

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, permutations, product
 from statistics import NormalDist
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -273,6 +274,16 @@ class TestOrderKeys:
         assert library_compare(c, c) == 0
 
 
+class TestCountChecks:
+    def test_negative_counts_refused(self):
+        for count in (multinomial, order_product):
+            with pytest.raises(ValueError, match="counts must be nonnegative"):
+                count([-1, 2])
+            with pytest.raises(ValueError, match="counts must be nonnegative"):
+                count([-2, 3])
+        assert order_product([0, 1, 3]) == 27
+
+
 class TestClassWeight:
     def test_uniform_weight_is_class_share(self):
         n, a = 5, 3
@@ -378,9 +389,9 @@ class TestClassOrder:
 
     def test_index_bounds_checked(self):
         order = ClassOrder(3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rank -1 out of range for 2\*\*3 strings"):
             order.locate_string(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rank 8 out of range for 2\*\*3 strings"):
             order.locate_string(8)
         with pytest.raises(ValueError):
             info_at(3, 2, 8)
@@ -428,6 +439,24 @@ class TestClassOrder:
 
     def test_shared_instances_are_cached(self):
         assert class_order(7, 2) is class_order(7, 2)
+
+    def test_sizes_checked_before_any_walk(self, monkeypatch):
+        # a float size is refused, even an integral one whose order is
+        # cached, and so is a size below one; numpy integers are sizes
+        walks = counted_walks(monkeypatch)
+        class_order(3, 2)
+        walks.clear()
+        for n, a in [(3.0, 2), (3, 2.0), (2.5, 2)]:
+            with pytest.raises(TypeError):
+                class_order(n, a)
+            with pytest.raises(TypeError):
+                ClassOrder(n, a)
+        for n, a in [(0, 2), (2, 0)]:
+            with pytest.raises(ValueError, match="need n >= 1 and a >= 1"):
+                ClassOrder(n, a)
+        assert walks == []
+        assert class_order(np.int64(3), np.int64(2)) is class_order(3, 2)
+        assert type(ClassOrder(np.int64(3), np.int64(2)).n) is int
 
     def test_cap_applies_to_cached_orders(self, monkeypatch):
         # 9 into 3 parts has 55 compositions; the cap guards the build, and the

@@ -54,6 +54,28 @@ def _head_mean(n, a, count):
 
 
 class TestAverageInfoExact:
+    def test_block_length_checked(self):
+        for interpretation in ("empirical", "literal"):
+            with pytest.raises(ValueError, match="block length must be positive"):
+                average_info_exact(SourceEnsemble.uniform(3), 0, interpretation)
+            with pytest.raises(TypeError):
+                average_info_exact(SourceEnsemble.uniform(3), 100.0, interpretation)
+
+    def test_numpy_integer_sizes(self):
+        # an int64 n once overflowed in the binomial weights and gave 769.6
+        # bits; every size is read as a plain int, so the means are the same
+        uniform, biased = SourceEnsemble.uniform(3), SourceEnsemble((0.6, 0.4))
+        wide = np.int64
+        assert average_info_exact(uniform, wide(100)) == average_info_exact(uniform, 100)
+        assert shaped_average_info_exact(wide(3), wide(100), wide(1)) == (
+            shaped_average_info_exact(3, 100, 1)
+        )
+        assert shaped_average_info(biased, wide(40), wide(1)) == shaped_average_info(biased, 40, 1)
+        got, want = rank_info_series(wide(3), wide(8), wide(1)), rank_info_series(3, 8, 1)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+        with pytest.raises(TypeError):
+            shaped_average_info_exact(3, 10.0, 1)
+
     @pytest.mark.parametrize("a", sorted(UNIFORM_GRID))
     def test_uniform_grid_matches_brute_force(self, a):
         got = average_info_exact(SourceEnsemble.uniform(a), a)
@@ -313,9 +335,11 @@ class TestShapedAverage:
 
     @pytest.mark.parametrize("n, k", [(0, 1), (3, 0)])
     def test_shape_parameters_validated_for_every_source(self, n, k):
+        # the shaping instance is checked by ShapingParameters, with its messages
+        message = "block length" if n < 1 else "length surplus"
         for ens in (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2))):
             for interpretation in ("empirical", "literal"):
-                with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+                with pytest.raises(ValueError, match=f"{message} must be positive"):
                     shaped_average_info(ens, n, k, interpretation)
 
 

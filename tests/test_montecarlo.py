@@ -55,6 +55,33 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(alphabet_size=2, n=5, k=1, samples=10, seed=0, threads=0)
 
+    @pytest.mark.parametrize(
+        "field", ["alphabet_size", "n", "k", "samples", "seed", "threads"]
+    )
+    def test_fields_are_integers(self, monkeypatch, field):
+        # numpy would truncate a fractional block length in the draw and
+        # estimate n=10; every field is refused before any draw instead
+        draws = []
+        monkeypatch.setattr(montecarlo, "sample_compositions", lambda *args: draws.append(args))
+        fields = dict(alphabet_size=3, n=10, k=1, samples=1000, seed=1, threads=1)
+        for bad in (fields[field] + 0.5, float(fields[field])):
+            with pytest.raises(TypeError):
+                estimate_table([McConfig(**{**fields, field: bad})], method="auto")
+        assert draws == []
+
+    def test_numpy_integer_fields_accepted(self):
+        plain = McConfig(alphabet_size=3, n=10, k=1, samples=1000, seed=1, threads=2)
+        wide = McConfig(
+            alphabet_size=np.int64(3),
+            n=np.int32(10),
+            k=np.uint8(1),
+            samples=np.int64(1000),
+            seed=np.uint64(1),
+            threads=np.int16(2),
+        )
+        assert repr(wide) == repr(plain)
+        assert wide == plain
+
     def test_single_symbol_alphabet_accepted(self):
         cfg = McConfig(alphabet_size=1, n=9, k=3, samples=64, seed=1)
         assert estimate_average_info(cfg).mean == 0.0

@@ -57,6 +57,8 @@ class TestEnsembleValidation:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             SourceEnsemble(())
+        with pytest.raises(ValueError, match="at least one symbol"):
+            SourceEnsemble.uniform(0)
 
     def test_tiny_sum_slack_accepted(self):
         # accumulation error well inside the documented tolerance
@@ -100,6 +102,12 @@ class TestSymbolValidation:
     def test_empty_string_is_valid(self):
         assert validate_symbols([], 2).size == 0
 
+    def test_rejects_nested_and_non_numeric(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            validate_symbols([[0, 1]], 2)
+        with pytest.raises(InvalidSymbolError, match="must be integers"):
+            validate_symbols(["x"], 2)
+
 
 class TestComposition:
     def test_counts_match_oracle(self):
@@ -138,6 +146,12 @@ class TestInformationContent:
         # unvisited zero-probability symbols are fine
         assert literal_information_content(ens, [0, 0]) == 0.0
 
+    def test_empty_string_has_no_content(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            literal_information_content(SourceEnsemble.uniform(2), [])
+        with pytest.raises(ValueError, match="nonempty"):
+            empirical_information_content([], 2)
+
     def test_dispatch_selects_interpretation(self):
         ens = SourceEnsemble((0.75, 0.25))
         s = [0, 0, 1]
@@ -145,7 +159,7 @@ class TestInformationContent:
         lit = information_content(ens, s, interpretation="literal")
         assert math.isclose(emp, oracles.empirical_info(s, 2), abs_tol=1e-12)
         assert math.isclose(lit, oracles.literal_info(s, ens.probabilities), abs_tol=1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown interpretation 'typo'"):
             information_content(ens, s, interpretation="typo")
 
     def test_string_probability(self):

@@ -133,48 +133,105 @@ def test_oracles_import_nothing_from_the_package():
     assert not [m for m in modules if m.startswith(".") or m.split(".")[0] == "setshaping"]
 
 
-def test_composition_cap_is_checked_once_at_the_walk():
-    # Every partition walk starts in compositions._tail_rows, so that is the
-    # one place the cap is checked; nothing that walks no partition is capped.
-    def calls(node, owner):
+def sites(match):
+    """(file, function) of each node of the package that match accepts.
+
+    A function is named with the class or functions around it, dotted.
+    """
+
+    def walk(node, owner):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "check_composition_cap":
-                    yield owner
-            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            yield from calls(child, child.name if inner else owner)
+            if match(child):
+                yield owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                yield from walk(child, owner)
 
     found = []
     for path in sorted(Path(setshaping.__file__).parent.glob("*.py")):
-        found.extend((path.name, owner) for owner in calls(ast.parse(path.read_text()), None))
-    assert found == [("compositions.py", "_tail_rows")]
+        found.extend((path.name, owner) for owner in walk(ast.parse(path.read_text()), None))
+    return found
+
+
+def call_of(name, owner=None):
+    """A match for a call of name, or of owner.name when owner is given."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if owner is not None:
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr == name
+                and isinstance(func.value, ast.Name)
+                and func.value.id == owner
+            )
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return match
+
+
+def raise_saying(text):
+    """A match for a raise statement whose message holds text."""
+    return lambda node: isinstance(node, ast.Raise) and any(
+        isinstance(part, ast.Constant) and isinstance(part.value, str) and text in part.value
+        for part in ast.walk(node)
+    )
+
+
+def test_composition_cap_is_checked_once_at_the_walk():
+    # Every partition walk starts in compositions._tail_rows, so that is the
+    # one place the cap is checked; nothing that walks no partition is capped.
+    assert sites(call_of("check_composition_cap")) == [("compositions.py", "_tail_rows")]
 
 
 def test_complete_order_is_built_only_below_a_tail():
     # A complete order is built only for a rank or selection query below a
     # tail; a reader of the whole order takes compositions._tie_groups.
-    def calls(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "_whole_order":
-                    yield owner
-            if isinstance(child, ast.ClassDef):
-                yield from calls(child, child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from calls(child, f"{owner}.{child.name}" if owner else child.name)
-            else:
-                yield from calls(child, owner)
-
-    found = []
-    for path in sorted(Path(setshaping.__file__).parent.glob("*.py")):
-        found.extend((path.name, owner) for owner in calls(ast.parse(path.read_text()), None))
-    assert found == [
+    assert sites(call_of("_whole_order")) == [
         ("compositions.py", "ClassOrder.strings_before_class"),
         ("compositions.py", "ClassOrder.locate_string"),
+    ]
+
+
+def test_each_rule_has_one_copy():
+    # The container header is read, an interpretation name checked, a
+    # rank's range checked and integer fields taken through operator.index
+    # in one place each, for every caller.
+    assert sites(call_of("unpack", owner="HEADER")) == [("codec.py", "_read_header")]
+    assert sites(raise_saying("unknown interpretation")) == [
+        ("source.py", "_check_interpretation")
+    ]
+    assert sites(raise_saying("out of range for")) == [
+        ("compositions.py", "ClassOrder.locate_string")
+    ]
+    assert sites(call_of("_index_fields")) == [
+        ("bijection.py", "ShapingParameters.__post_init__"),
+        ("montecarlo.py", "McConfig.__post_init__"),
+    ]
+    # The order has one direction, product descending, for all its readers.
+    from setshaping.compositions import _exact_order
+
+    assert list(inspect.signature(_exact_order).parameters) == ["rows", "tol"]
+
+
+def test_analyzer_checks_no_shaping_instance_itself():
+    # ShapingParameters checks (a, n, k) for every analyzer function that
+    # takes one.  What the analyzer raises itself is the series limit, and
+    # the block length of average_info_exact, which takes a source
+    # ensemble and no shaping instance.
+    raised = sites(lambda node: isinstance(node, ast.Raise))
+    assert [site for site in raised if site[0] == "analyzer.py"] == [
+        ("analyzer.py", "average_info_exact"),
+        ("analyzer.py", "rank_info_series"),
+    ]
+    built = [site for site in sites(call_of("ShapingParameters")) if site[0] == "analyzer.py"]
+    assert built == [
+        ("analyzer.py", "shaped_average_info_exact"),
+        ("analyzer.py", "shaped_average_info"),
+        ("analyzer.py", "rank_info_series"),
     ]
 
 
