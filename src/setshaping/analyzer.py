@@ -33,8 +33,9 @@ The analyzer keeps no copy of a rule another layer owns: a shaping
 instance (a, n, k) is checked by building bijection.ShapingParameters,
 whose plain-int fields the computation then reads, so a numpy integer
 cannot overflow in a**n; an interpretation name is checked by
-source._check_interpretation, and the literal content of a class is
-source._literal_bits of its count vector.
+source._check_interpretation, a block length by source._check_sizes, and
+the probability and the literal content of a class come from
+source._log_probability of its count vector.
 """
 
 from __future__ import annotations
@@ -43,14 +44,14 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .bijection import ShapingParameters
 from .compositions import _iter_group_classes, _tie_groups, top_tallies
 from .errors import ResourceLimitError
-from .source import SourceEnsemble, _check_interpretation, _literal_bits
+from .source import SourceEnsemble, _check_interpretation, _check_sizes, _log_probability
 
 # Largest a**n for which the per-rank series is materialized.
 SERIES_LIMIT = 10**7
@@ -107,21 +108,6 @@ def _binomial_weights(n: int, num: int, den: int) -> Iterator[tuple[int, int]]:
         weight = weight * c * rest // ((n - c + 1) * num)
 
 
-def _log_probability(probabilities: Sequence[float], counts: Sequence[int]) -> float:
-    """Natural log of the probability of one string with the given counts.
-
-    -inf when the string uses a zero-probability symbol.
-    """
-    log_p = 0.0
-    for p, c in zip(probabilities, counts):
-        if c == 0:
-            continue
-        if p == 0.0:
-            return -math.inf
-        log_p += c * math.log(p)
-    return log_p
-
-
 def _head(length: int, a: int, count: int) -> Iterator[tuple[int, float]]:
     """(strings, content) of each tie group the first count strings of the order touch.
 
@@ -151,8 +137,7 @@ def average_info_exact(
     """
     _check_interpretation(interpretation)
     n = operator.index(n)
-    if n < 1:
-        raise ValueError("block length must be positive")
+    _check_sizes(n=n)
     a = ensemble.alphabet_size
     if a == 1:
         return 0.0
@@ -232,7 +217,7 @@ def shaped_average_info(
             yield from _head(n + k, a, a**n)
         else:
             for counts, size in classes(n + k):
-                yield size, _literal_bits(probs, counts)
+                yield size, 0.0 - _log_probability(probs, counts, math.log2)
 
     def terms() -> Iterator[float]:
         ln2 = math.log(2.0)

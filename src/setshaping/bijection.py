@@ -19,7 +19,7 @@ import numpy as np
 
 from .compositions import _lex_rank, _lex_select, class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
-from .source import _index_fields, validate_symbols
+from .source import _check_sizes, _index_fields, _nonempty_symbols, validate_symbols
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,7 @@ class ShapingParameters:
         _index_fields(self)
         if self.alphabet_size < 2:
             raise ValueError("shaping needs an alphabet of at least two symbols")
-        if self.n < 1:
-            raise ValueError("block length must be positive")
-        if self.k < 1:
-            raise ValueError("length surplus must be positive")
+        _check_sizes(n=self.n, k=self.k)
 
     @property
     def output_length(self) -> int:
@@ -47,10 +44,7 @@ class ShapingParameters:
 
 def string_rank(symbols: Sequence[int], alphabet_size: int) -> int:
     """Exact position of the string in the order over its own length."""
-    arr = validate_symbols(symbols, alphabet_size)
-    if arr.size == 0:
-        raise ValueError("a string must be nonempty")
-    return _rank_valid(arr, alphabet_size)
+    return _rank_valid(_nonempty_symbols(symbols, alphabet_size), alphabet_size)
 
 
 def _rank_valid(arr: np.ndarray, alphabet_size: int) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .bijection import ShapingParameters, shape
 from .errors import CorruptStreamError
-from .source import empirical_information_content, validate_symbols
+from .source import _check_sizes, empirical_information_content, validate_symbols
 
 HEADER = struct.Struct("<BHQQ")
 FORMAT_VERSION = 1
@@ -52,12 +52,19 @@ _MAX_TOTAL = _QUARTER
 _THREE_QUARTERS = 3 * _QUARTER
 # Payload bytes the decoder moves into its bit window at a time.
 _CHUNK = 8
+# Sampled strings shaping_experiment draws at a time.
+_DRAW_ROWS = 1 << 10
+
+
+def _fits_coder(n: int, a: int) -> bool:
+    """Whether the model total after n symbols, 2*n + a, stays below _MAX_TOTAL."""
+    return 2 * n + a < _MAX_TOTAL
 
 
 def _check_block(n: int, a: int):
     if not 1 <= a <= 0xFFFF:
         raise ValueError("alphabet size must be in [1, 65535]")
-    if 2 * n + a >= _MAX_TOTAL:
+    if not _fits_coder(n, a):
         raise ValueError("block too long for the coder's precision")
 
 
@@ -131,7 +138,7 @@ def _read_header(
         )
     if n is not None and n != count:
         raise CorruptStreamError(f"expected {n} symbols, header says {count}")
-    if 2 * count + a >= _MAX_TOTAL:
+    if not _fits_coder(count, a):
         raise CorruptStreamError("header declares a block the coder cannot produce")
 
     payload = blob[HEADER.size :]
@@ -262,24 +269,25 @@ def shaping_experiment(
     Answers the question the averages only hint at: do actual compressed
     sizes drop?  Shaped outputs are k symbols longer; the report keeps both
     absolute bits and bits per source symbol so that cost stays visible.
+    The strings are drawn _DRAW_ROWS at a time from one stream, which gives
+    the strings of one whole draw without holding them all.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _check_sizes(samples=samples)
     a, n = params.alphabet_size, params.n
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    strings = rng.integers(0, a, size=(samples, n), dtype=np.int64)
 
     bits_raw = []
     bits_shaped = []
     info_raw = []
     info_shaped = []
-    for row in strings:
-        x = tuple(int(v) for v in row)
-        y = shape(x, params)
-        bits_raw.append(encoded_bit_length(encode(x, a)))
-        bits_shaped.append(encoded_bit_length(encode(y, a)))
-        info_raw.append(empirical_information_content(x, a))
-        info_shaped.append(empirical_information_content(y, a))
+    for start in range(0, samples, _DRAW_ROWS):
+        rows = min(_DRAW_ROWS, samples - start)
+        for x in map(tuple, rng.integers(0, a, size=(rows, n), dtype=np.int64).tolist()):
+            y = shape(x, params)
+            bits_raw.append(encoded_bit_length(encode(x, a)))
+            bits_shaped.append(encoded_bit_length(encode(y, a)))
+            info_raw.append(empirical_information_content(x, a))
+            info_shaped.append(empirical_information_content(y, a))
 
     return ExperimentReport(
         alphabet_size=a,

@@ -18,8 +18,9 @@ another, so they share their product, class size, and information content.
 ClassOrder therefore aggregates by partition of n and only expands individual
 count vectors on demand; the partition count grows polynomially in n where
 the composition count grows like n**(a-1), which keeps n around 100 cheap
-while staying exact.  One depth-first walk over the partitions yields a flat
-list of (key, partition, string total) rows.  The key is sum c*ln(c), the
+while staying exact.  One depth-first walk over the partitions, whose one
+loop places every part and the last two together, yields a flat list of
+(key, partition, string total) rows.  The key is sum c*ln(c), the
 log of the order product, as a float within a proven relative bound of it
 (see _key_tolerance); the string totals come from multinomials carried
 down the walk, a node's times comb(rest, c) for a part c, and the walk keeps
@@ -149,16 +150,20 @@ def _partition_rows(
     part c out of rest multiplies by comb(rest, c), stepped from
     comb(rest, c - 1) as c grows, and the class count of its parts, which a
     part multiplies by the free slots and divides by its run of equal parts.
-    The last two parts close in one loop, as (c, rest - c).
+    One loop places every part.  With two slots free, a part c places the
+    last part, rest - c, with it, and the row ends there; where the two are
+    equal, the class count also divides by the run that rest - c extends.
+    Only a = 1, a single row, is made outside the loop.
 
     With a limit, only the rows whose order product is at most limit are
     kept.  Parts are placed largest first and each is at least the even
     share of the rest, so the least product a prefix can be completed to is
-    the even split of what remains over the free slots.  That bound never
-    falls as the next part grows, so the first part past the limit ends the
-    loop.  The bound's key is compared with ln(limit) in floats; only where
-    the two lie within the keys' error bound are the exact integer products
-    compared, so every decision is the exact one.
+    the even split of what remains over the free slots; with two slots
+    free, that is the row's own product, and its bound key the row's key.
+    That bound never falls as the next part grows, so the first part past
+    the limit ends the loop.  The bound's key is compared with ln(limit) in
+    floats; only where the two lie within the keys' error bound are the
+    exact integer products compared, so every decision is the exact one.
     """
     xlnx = [0.0, 0.0] + [c * math.log(c) for c in range(2, n + 1)]
     rows: list[tuple[float, tuple[int, ...], int]] = []
@@ -168,61 +173,43 @@ def _partition_rows(
         ln_limit = math.log(limit)
         tol = _key_tolerance(n, a)
 
-    def close(prefix, rest, top, key, mult, count, run):
-        # The last two slots: parts c and rest - c, with c at least half of rest.
-        first = -(-rest // 2)
-        size = mult * math.comb(rest, first - 1)
-        for c in range(first, min(rest, top) + 1):
-            r = rest - c
-            k = key + xlnx[c] + xlnx[r]
-            if limit is not None:
-                bound = (k + ln_limit) * tol
-                if not ln_limit - k > bound and (
-                    k - ln_limit > bound or order_product(prefix) * c**c * r**r > limit
-                ):
-                    break
-            # mult * comb(rest, c), from mult * comb(rest, c - 1)
-            size = size * (r + 1) // c
-            c_run = run + 1 if c == top else 1
-            count2 = count * 2 // c_run
-            if not r:
-                rows.append((k, prefix + (c,), size * count2))
-            elif r < c:
-                rows.append((k, prefix + (c, r), size * count2))
-            else:
-                rows.append((k, prefix + (c, r), size * (count2 // (c_run + 1))))
-
     def walk(prefix, rest, slots, top, key, mult, count, run):
-        # More than two slots are free.  top bounds the next part and is the
+        # At least two slots are free.  top bounds the next part and is the
         # last part placed, whose run of equal parts has length run.
         first = -(-rest // slots)
         size = mult * math.comb(rest, first - 1)
+        last = slots == 2
         for c in range(first, min(rest, top) + 1):
             k = key + xlnx[c]
             r = rest - c
-            if limit is not None:
+            if last:
+                # The last two parts, c and r: the bound is the row's own key.
+                k = least = k + xlnx[r]
+            elif limit is not None:
                 q, extra = divmod(r, slots - 1)
                 least = k + (slots - 1 - extra) * xlnx[q] + extra * xlnx[q + 1]
+            if limit is not None:
                 bound = (least + ln_limit) * tol
                 if not ln_limit - least > bound and (
                     least - ln_limit > bound
                     or order_product(prefix) * c**c * _even_split_product(r, slots - 1) > limit
                 ):
                     break
+            # mult * comb(rest, c), from mult * comb(rest, c - 1)
             size = size * (r + 1) // c
             c_run = run + 1 if c == top else 1
             count2 = count * slots // c_run
             if not r:
                 rows.append((k, prefix + (c,), size * count2))
-            elif slots == 3:
-                close(prefix + (c,), r, c, k, size, count2, c_run)
-            else:
+            elif not last:
                 walk(prefix + (c,), r, slots - 1, c, k, size, count2, c_run)
+            elif r < c:
+                rows.append((k, prefix + (c, r), size * count2))
+            else:
+                rows.append((k, prefix + (c, r), size * (count2 // (c_run + 1))))
 
-    if a > 2:
+    if a > 1:
         walk((), n, a, n, 0.0, 1, 1, 0)
-    elif a == 2:
-        close((), n, n, 0.0, 1, 1, 0)
     elif limit is None or n**n <= limit:
         rows.append((xlnx[n], (n,), 1))
     # walk refers to itself; dropping it frees it, and so rows, with the caller.
@@ -260,21 +247,31 @@ def _chi_square_upper_quantile(dof: int, p: float) -> float:
     return dof * max(1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof)), 0.0) ** 3
 
 
+def _content_gap(a: int, fraction: float) -> float:
+    """Bits below L*log2(a) of the content at the upper-tail fraction, for any L.
+
+    For a uniformly random string over a symbols, L*log2(a) less its
+    content is about half a chi-square variable with a-1 degrees of
+    freedom, over ln 2: fraction of the strings fall short by more than
+    this.  Both _cover_limit and the Monte Carlo keep window read it.
+    """
+    return _chi_square_upper_quantile(a - 1, fraction) / (2 * math.log(2))
+
+
 def _cover_limit(n: int, a: int, uncovered: int) -> int:
     """An order product limit whose rows leave out about `uncovered` strings.
 
     For a uniformly random string, ln(product / least product) is about n
     times the divergence of its counts from the even split, which tends to
     half a chi-square variable with a-1 degrees of freedom.  The limit is
-    the least product raised by that variable's quantile at the fraction
-    left out (_chi_square_upper_quantile), rounded up to whole bits, and
-    one more bit for the finite n (on the Table 1 and Table 2 orders and
-    the n=100 tails it added at most 0.61 bits).  Only how many rows a
-    walk visits depends on it: exact products still decide which rows are
-    kept, and _tail_rows walks every row when the limit falls short.
+    the least product raised by the content gap at the fraction left out
+    (_content_gap), rounded up to whole bits, and one more bit for the
+    finite n (on the Table 1 and Table 2 orders and the n=100 tails it
+    added at most 0.61 bits).  Only how many rows a walk visits depends on
+    it: exact products still decide which rows are kept, and _tail_rows
+    walks every row when the limit falls short.
     """
-    chi2 = _chi_square_upper_quantile(a - 1, uncovered / a**n)
-    return _even_split_product(n, a) << (math.ceil(chi2 / (2 * math.log(2))) + 1)
+    return _even_split_product(n, a) << (math.ceil(_content_gap(a, uncovered / a**n)) + 1)
 
 
 def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:

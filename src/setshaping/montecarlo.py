@@ -54,9 +54,9 @@ from typing import Callable
 import numpy as np
 
 from .analyzer import AverageReport, average_info_exact, shaped_average_info_exact
-from .compositions import _chi_square_upper_quantile, order_product
+from .compositions import _content_gap, order_product
 from .errors import DegenerateSampleError, ResourceLimitError
-from .source import SourceEnsemble, _index_fields
+from .source import SourceEnsemble, _check_sizes, _index_fields
 
 SHARD_SIZE = 1 << 16
 _CHUNK_ROWS = 1 << 12
@@ -80,14 +80,7 @@ class McConfig:
     def __post_init__(self):
         # A fractional field fails here, before numpy truncates it in a draw.
         _index_fields(self)
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet must have at least one symbol")
-        if self.n < 1:
-            raise ValueError("block length must be positive")
-        if self.k < 1:
-            raise ValueError("length surplus must be positive")
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        _check_sizes(self.alphabet_size, self.n, self.k, self.samples)
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.threads < 1:
@@ -246,8 +239,7 @@ def _keep_window(length: int, a: int, k: int) -> float:
     """
     if a == 1:
         return math.inf
-    chi2 = _chi_square_upper_quantile(a - 1, a**-k)
-    return length * math.log2(a) - chi2 / (2 * _LN2) + _WINDOW_MARGIN
+    return length * math.log2(a) - _content_gap(a, a**-k) + _WINDOW_MARGIN
 
 
 def _band_in_exact_order(counts: np.ndarray) -> np.ndarray:

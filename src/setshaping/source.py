@@ -10,10 +10,14 @@ content comes in two interpretations:
 The shaping analysis tabulates the empirical interpretation; the literal one
 stays available as a selectable mode.  _INTERPRETATIONS names the two, for
 the command line too, and _check_interpretation is the one check of a name
-against them.  _literal_bits is the one sum of a count vector's literal
-content, for a single string here and for whole classes in the analyzer,
-and _index_fields the one integer check of the fields of ShapingParameters
-and McConfig.
+against them.  _log_probability is the one sum of c_v*log(p_v) over a count
+vector: in bits, and taken from 0.0, the literal content of a single string
+here and of whole classes in the analyzer, and in nats the probability of
+an input class there.  _index_fields is the one integer check of the fields
+of ShapingParameters and McConfig, _check_sizes the one check that an
+alphabet size, block length, length surplus or sample count is positive,
+for every class and function that takes one, and _nonempty_symbols the one
+check that a string is nonempty.
 """
 
 from __future__ import annotations
@@ -47,6 +51,18 @@ def _index_fields(instance) -> None:
         object.__setattr__(instance, field.name, operator.index(getattr(instance, field.name)))
 
 
+def _check_sizes(alphabet_size: int = 1, n: int = 1, k: int = 1, samples: int = 1) -> None:
+    """Raise ValueError on the first of the sizes, in this order, below 1."""
+    if alphabet_size < 1:
+        raise ValueError("alphabet must have at least one symbol")
+    if n < 1:
+        raise ValueError("block length must be positive")
+    if k < 1:
+        raise ValueError("length surplus must be positive")
+    if samples < 1:
+        raise ValueError("need at least one sample")
+
+
 @dataclass(frozen=True)
 class SourceEnsemble:
     """An i.i.d. symbol source over the alphabet {0, ..., a-1}."""
@@ -56,8 +72,7 @@ class SourceEnsemble:
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", probs)
-        if len(probs) < 1:
-            raise ValueError("alphabet must have at least one symbol")
+        _check_sizes(len(probs))
         # Written so that NaN, for which every comparison is false, fails them.
         if any(not 0.0 <= p <= 1.0 for p in probs):
             raise ValueError("probabilities must lie in [0, 1]")
@@ -66,9 +81,8 @@ class SourceEnsemble:
 
     @classmethod
     def uniform(cls, alphabet_size: int) -> "SourceEnsemble":
-        if alphabet_size < 1:
-            raise ValueError("alphabet must have at least one symbol")
-        return cls((1.0 / alphabet_size,) * alphabet_size)
+        # An empty alphabet divides by nothing and reaches __post_init__.
+        return cls(tuple(1.0 / alphabet_size for _ in range(alphabet_size)))
 
     @property
     def alphabet_size(self) -> int:
@@ -109,6 +123,14 @@ def validate_symbols(symbols: Sequence[int], alphabet_size: int) -> np.ndarray:
     return arr
 
 
+def _nonempty_symbols(symbols: Sequence[int], alphabet_size: int) -> np.ndarray:
+    """validate_symbols of a string that must also be nonempty."""
+    arr = validate_symbols(symbols, alphabet_size)
+    if arr.size == 0:
+        raise ValueError("a string must be nonempty")
+    return arr
+
+
 def composition_of(symbols: Sequence[int], alphabet_size: int) -> tuple[int, ...]:
     """Per-symbol count vector of the string."""
     arr = validate_symbols(symbols, alphabet_size)
@@ -119,35 +141,39 @@ def literal_information_content(
     ensemble: SourceEnsemble, symbols: Sequence[int]
 ) -> float:
     """-sum_j log2 p(s_j); rejects symbols the source cannot emit."""
-    arr = validate_symbols(symbols, ensemble.alphabet_size)
-    if arr.size == 0:
-        raise ValueError("a string must be nonempty")
+    arr = _nonempty_symbols(symbols, ensemble.alphabet_size)
     counts = np.bincount(arr, minlength=ensemble.alphabet_size)
-    total = _literal_bits(ensemble.probabilities, counts)
+    total = 0.0 - _log_probability(ensemble.probabilities, counts, math.log2)
     if total == math.inf:
         raise InvalidSymbolError("string uses a zero-probability symbol")
     return total
 
 
-def _literal_bits(probabilities: Sequence[float], counts: Sequence[int]) -> float:
-    """-sum_v c_v*log2(p_v) over the symbols that occur; inf if one has p_v = 0."""
+def _log_probability(
+    probabilities: Sequence[float], counts: Sequence[int], log=math.log
+) -> float:
+    """sum_v c_v*log(p_v) over the symbols that occur; -inf if one has p_v = 0.
+
+    The log of the probability of one string with these counts: in nats
+    with math.log, in bits with math.log2.  Rounding is symmetric, so 0.0
+    less the bits is, bit for bit, -c_v*log2(p_v) summed from 0.0; -bits
+    would give -0.0 where every occurring p_v is 1.
+    """
     total = 0.0
     for p, c in zip(probabilities, counts):
         if c == 0:
             continue
         if p == 0.0:
-            return math.inf
-        total -= c * math.log2(p)
+            return -math.inf
+        total += c * log(p)
     return total
 
 
 def empirical_information_content(symbols: Sequence[int], alphabet_size: int) -> float:
     """n*log2(n) - sum_v c_v*log2(c_v) from the string's own counts."""
-    arr = validate_symbols(symbols, alphabet_size)
+    arr = _nonempty_symbols(symbols, alphabet_size)
     counts = np.bincount(arr, minlength=alphabet_size)
     n = int(arr.size)
-    if n == 0:
-        raise ValueError("a string must be nonempty")
     return n * math.log2(n) - math.fsum(
         int(c) * math.log2(int(c)) for c in counts if c > 1
     )

@@ -22,6 +22,7 @@ from setshaping import (
     redundancy_bound_bits,
     shaping_experiment,
 )
+from setshaping import codec
 from setshaping.codec import FORMAT_VERSION, HEADER
 
 
@@ -284,6 +285,15 @@ class TestShapingExperiment:
         a = shaping_experiment(params, samples=100, seed=4)
         b = shaping_experiment(params, samples=100, seed=4)
         assert a == b
+
+    def test_chunked_draws_give_the_whole_draw(self, monkeypatch):
+        # The strings are drawn a few rows at a time from one stream; a chunk
+        # of 3 rows, which does not divide the 20 samples, gives the report
+        # of the default, here one whole draw.
+        params = ShapingParameters(5, 12, 1)
+        whole = shaping_experiment(params, samples=20, seed=3)
+        monkeypatch.setattr(codec, "_DRAW_ROWS", 3)
+        assert shaping_experiment(params, samples=20, seed=3).to_dict() == whole.to_dict()
 
     def test_seed_changes_report(self):
         params = ShapingParameters(3, 10, 1)

@@ -40,13 +40,15 @@ def exact_a3_n100():
 
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            McConfig(alphabet_size=0, n=5, k=1, samples=10, seed=0)
-        with pytest.raises(ValueError):
-            McConfig(alphabet_size=2, n=0, k=1, samples=10, seed=0)
-        with pytest.raises(ValueError):
-            McConfig(alphabet_size=2, n=5, k=0, samples=10, seed=0)
-        with pytest.raises(ValueError):
+        # the sizes are checked in field order, with the messages of
+        # ShapingParameters, SourceEnsemble and shaping_experiment
+        with pytest.raises(ValueError, match="alphabet must have at least one symbol"):
+            McConfig(alphabet_size=0, n=0, k=0, samples=0, seed=0)
+        with pytest.raises(ValueError, match="block length must be positive"):
+            McConfig(alphabet_size=2, n=0, k=0, samples=0, seed=0)
+        with pytest.raises(ValueError, match="length surplus must be positive"):
+            McConfig(alphabet_size=2, n=5, k=0, samples=0, seed=0)
+        with pytest.raises(ValueError, match="need at least one sample"):
             McConfig(alphabet_size=2, n=5, k=1, samples=0, seed=0)
         with pytest.raises(ValueError):
             McConfig(alphabet_size=2, n=5, k=1, samples=10, seed=-1)

@@ -15,8 +15,7 @@ from setshaping import (
     information_content,
     validate_symbols,
 )
-from setshaping.analyzer import _log_probability
-from setshaping.source import literal_information_content
+from setshaping.source import _log_probability, literal_information_content
 
 
 class TestEnsembleValidation:
@@ -57,8 +56,9 @@ class TestEnsembleValidation:
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError):
             SourceEnsemble(())
-        with pytest.raises(ValueError, match="at least one symbol"):
-            SourceEnsemble.uniform(0)
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="at least one symbol"):
+                SourceEnsemble.uniform(size)
 
     def test_tiny_sum_slack_accepted(self):
         # accumulation error well inside the documented tolerance
@@ -170,6 +170,22 @@ class TestInformationContent:
         got = math.exp(_log_probability(ens.probabilities, counts))
         assert math.isclose(got, 0.75 * 0.75 * 0.25)
         assert math.isclose(got, oracles.string_probability(ens.probabilities, s))
+
+    def test_literal_content_keeps_the_bits_of_a_running_difference(self):
+        # 0.0 less the summed bits is, bit for bit, each term taken from 0.0
+        # in turn; a string of a probability-1 symbol gives 0.0, not -0.0.
+        rng = np.random.default_rng(5)
+        cases = [((1.0, 0.0), [0, 0, 0]), ((0.0, 1.0), [1])]
+        for a in (2, 3, 5, 9):
+            probs = tuple(rng.dirichlet(np.ones(a)).tolist())
+            cases.append((probs, rng.integers(0, a, size=int(rng.integers(1, 40))).tolist()))
+        for probs, s in cases:
+            want = 0.0
+            for p, c in zip(probs, composition_of(s, len(probs))):
+                if c:
+                    want -= c * math.log2(p)
+            got = float(literal_information_content(SourceEnsemble(probs), s))
+            assert got.hex() == want.hex()
 
     @given(
         st.integers(min_value=2, max_value=6).flatmap(

@@ -217,16 +217,49 @@ def test_each_rule_has_one_copy():
     assert list(inspect.signature(_exact_order).parameters) == ["rows", "tol"]
 
 
+def test_each_input_rule_has_one_owner():
+    # Each size rule and the nonempty-string rule is raised in one function
+    # for every caller, and the coder's block-size rule is written once,
+    # for encode and for a container's header.
+    for text in (
+        "alphabet must have at least one symbol",
+        "block length must be positive",
+        "length surplus must be positive",
+        "need at least one sample",
+    ):
+        assert sites(raise_saying(text)) == [("source.py", "_check_sizes")], text
+    assert sites(raise_saying("a string must be nonempty")) == [
+        ("source.py", "_nonempty_symbols")
+    ]
+    compared = sites(
+        lambda node: isinstance(node, ast.Compare)
+        and any(isinstance(name, ast.Name) and name.id == "_MAX_TOTAL" for name in ast.walk(node))
+    )
+    assert compared == [("codec.py", "_fits_coder")]
+
+
+def test_partition_walk_places_parts_in_one_loop():
+    # _partition_rows nests one function, the walk, and one loop places
+    # every part, the last two included.
+    from setshaping.compositions import _partition_rows
+
+    tree = ast.parse(inspect.getsource(_partition_rows)).body[0]
+    nested = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert nested == ["_partition_rows", "walk"]
+    assert len([node for node in ast.walk(tree) if isinstance(node, ast.For)]) == 1
+
+
 def test_analyzer_checks_no_shaping_instance_itself():
     # ShapingParameters checks (a, n, k) for every analyzer function that
-    # takes one.  What the analyzer raises itself is the series limit, and
-    # the block length of average_info_exact, which takes a source
-    # ensemble and no shaping instance.
+    # takes one, and source._check_sizes the block length of
+    # average_info_exact, which takes a source ensemble and no shaping
+    # instance.  What the analyzer raises itself is the series limit alone.
     raised = sites(lambda node: isinstance(node, ast.Raise))
     assert [site for site in raised if site[0] == "analyzer.py"] == [
-        ("analyzer.py", "average_info_exact"),
         ("analyzer.py", "rank_info_series"),
     ]
+    checked = [site for site in sites(call_of("_check_sizes")) if site[0] == "analyzer.py"]
+    assert checked == [("analyzer.py", "average_info_exact")]
     built = [site for site in sites(call_of("ShapingParameters")) if site[0] == "analyzer.py"]
     assert built == [
         ("analyzer.py", "shaped_average_info_exact"),
