@@ -1,8 +1,8 @@
 """Mean information content before and after shaping, across alphabets.
 
 Reproduces the two summary tables: a small grid computed exactly, and the
-long-block grid (n=100, k=1) where alphabets past 5 switch to seeded Monte
-Carlo because the composition space outgrows exact enumeration.
+long-block grid (n=100, k=1), exact wherever the partition walk's byte
+budget admits the row (every alphabet here) and seeded Monte Carlo beyond.
 """
 
 from setshaping import McConfig, estimate_table
@@ -25,7 +25,7 @@ for row in small:
 # two-bit inputs RAISES the average content, because half of all length-3
 # strings must be admitted and the low-content classes run out early.
 
-# -- long blocks: n = 100, exact where enumerable, sampled beyond ------------
+# -- long blocks: n = 100, exact where the walk budget admits, sampled beyond -
 
 M = 200_000  # raise to 10**6 to reproduce reference precision
 print(f"\nlong-block grid (n = 100, k = 1, M = {M} where sampled)")

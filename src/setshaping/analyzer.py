@@ -133,7 +133,7 @@ def average_info_exact(
     Q**(n-c), Q = D-P, as exact integers, each divided by D**n once.
     Symbols sharing a probability share one sum; zero-probability symbols
     never occur and contribute nothing.  No class order is built and no
-    partition walked, so the composition cap does not apply.
+    partition walked, so the walk's byte budget does not apply.
     """
     _check_interpretation(interpretation)
     n = operator.index(n)

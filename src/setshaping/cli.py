@@ -6,9 +6,12 @@ machine-readable output only (CSV or JSON); diagnostics and summaries go to
 stderr.  Every randomized command takes an explicit --seed (default 0) and
 is byte-reproducible for any --threads value.
 
-Exit codes: 0 success, 2 invalid arguments, 3 domain error (invalid symbol,
-bad block length, not in image, corrupt stream, degenerate sample),
-4 resource limit exceeded (composition cap, series limit, physical memory).
+Exit codes: 0 success, 1 stdout closed by its reader (quietly, nothing on
+stderr), 2 invalid arguments or an input or output, stdout included, that
+cannot be opened, read or written, 3 domain error (invalid symbol, bad
+block length, not in image, corrupt stream, degenerate sample), 4 resource
+limit exceeded (the partition walk's byte budget, series limit, physical
+memory).
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from .analyzer import (
@@ -47,10 +52,30 @@ def _round_floats(record: dict, digits: int) -> dict:
     return out
 
 
-def _open_output(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """A text stream, which takes bytes at its .buffer: stdout for no path
+    or "-", else the file at path, closed on leaving.
+
+    stdout is flushed on leaving.  Where writing it fails, what it still
+    holds is dropped, so that the flush at exit has nothing to fail on; a
+    reader that closed it ends the program quietly with exit code 1, as the
+    signal module's note on SIGPIPE advises, and any other OSError goes on.
+    """
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="ascii", newline=""), True
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                raise SystemExit(1) from None
+            raise
+    else:
+        with open(path, "w", encoding="ascii", newline="") as stream:
+            yield stream
 
 
 def _emit_records(records: list[dict], args, digits: int) -> None:
@@ -58,8 +83,7 @@ def _emit_records(records: list[dict], args, digits: int) -> None:
 
     The CSV header is the first record's keys.
     """
-    stream, owned = _open_output(args.output)
-    try:
+    with _output(args.output) as stream:
         if args.format == "json":
             json.dump([_round_floats(r, digits) for r in records], stream, indent=2)
             stream.write("\n")
@@ -76,9 +100,6 @@ def _emit_records(records: list[dict], args, digits: int) -> None:
                     else:
                         row[key] = value
                 writer.writerow(row)
-    finally:
-        if owned:
-            stream.close()
 
 
 # -- symbol text handling ---------------------------------------------------
@@ -119,12 +140,8 @@ def _read_input(path: str) -> bytes:
 
 
 def _write_output(path: str | None, data: bytes) -> None:
-    if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as handle:
-            handle.write(data)
+    with _output(path) as stream:
+        stream.buffer.write(data)
 
 
 def _blocks_of(symbols: list[int], block: int) -> list[list[int]]:
@@ -215,14 +232,10 @@ def cmd_figure1(args) -> int:
         ]
         _emit_records(records, args, digits=6)
     else:
-        stream, owned = _open_output(args.output)
-        try:
+        with _output(args.output) as stream:
             stream.write("rank,i_x_bits,i_y_bits\n")
             for i, (x, y) in enumerate(zip(xs, ys)):
                 stream.write(f"{i},{float(x):.6f},{float(y):.6f}\n")
-        finally:
-            if owned:
-                stream.close()
     print(
         f"mean_i_x_bits={float(xs.mean()):.6f} mean_i_y_bits={float(ys.mean()):.6f}",
         file=sys.stderr,
@@ -232,13 +245,13 @@ def cmd_figure1(args) -> int:
 
 def cmd_rank(args) -> int:
     symbols = _parse_symbol_text(args.string, args.alphabet)
-    print(string_rank(symbols, args.alphabet))
+    _write_output(None, f"{string_rank(symbols, args.alphabet)}\n".encode("ascii"))
     return 0
 
 
 def cmd_unrank(args) -> int:
     symbols = string_unrank(args.rank, args.length, args.alphabet)
-    print(_format_symbols(symbols, args.alphabet))
+    _write_output(None, f"{_format_symbols(symbols, args.alphabet)}\n".encode("ascii"))
     return 0
 
 
@@ -394,20 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error main reports: the first type that matches.
+_EXIT_CODES = {ResourceLimitError: 4, ShapingError: 3, ValueError: 2, OSError: 2}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ResourceLimitError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ShapingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -270,24 +270,29 @@ def shaping_experiment(
     sizes drop?  Shaped outputs are k symbols longer; the report keeps both
     absolute bits and bits per source symbol so that cost stays visible.
     The strings are drawn _DRAW_ROWS at a time from one stream, which gives
-    the strings of one whole draw without holding them all.
+    the strings of one whole draw without holding them all.  Nothing is kept
+    per string: the bit counts are summed as ints and the contents as exact
+    Fractions, whose float is the correctly rounded sum, as math.fsum of
+    every value would give; each mean divides that by the sample count.
     """
+    # Imported here: fractions imports decimal, about 5 ms that no other
+    # entry point of the package needs.
+    from fractions import Fraction
+
     _check_sizes(samples=samples)
     a, n = params.alphabet_size, params.n
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    bits_raw = []
-    bits_shaped = []
-    info_raw = []
-    info_shaped = []
+    bits_raw = bits_shaped = 0
+    info_raw = info_shaped = Fraction()
     for start in range(0, samples, _DRAW_ROWS):
         rows = min(_DRAW_ROWS, samples - start)
         for x in map(tuple, rng.integers(0, a, size=(rows, n), dtype=np.int64).tolist()):
             y = shape(x, params)
-            bits_raw.append(encoded_bit_length(encode(x, a)))
-            bits_shaped.append(encoded_bit_length(encode(y, a)))
-            info_raw.append(empirical_information_content(x, a))
-            info_shaped.append(empirical_information_content(y, a))
+            bits_raw += encoded_bit_length(encode(x, a))
+            bits_shaped += encoded_bit_length(encode(y, a))
+            info_raw += Fraction(empirical_information_content(x, a))
+            info_shaped += Fraction(empirical_information_content(y, a))
 
     return ExperimentReport(
         alphabet_size=a,
@@ -295,8 +300,8 @@ def shaping_experiment(
         surplus=params.k,
         samples=samples,
         seed=seed,
-        mean_bits_raw=math.fsum(bits_raw) / samples,
-        mean_bits_shaped=math.fsum(bits_shaped) / samples,
-        mean_emp_info_raw=math.fsum(info_raw) / samples,
-        mean_emp_info_shaped=math.fsum(info_shaped) / samples,
+        mean_bits_raw=bits_raw / samples,
+        mean_bits_shaped=bits_shaped / samples,
+        mean_emp_info_raw=float(info_raw) / samples,
+        mean_emp_info_shaped=float(info_shaped) / samples,
     )

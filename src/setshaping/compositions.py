@@ -47,8 +47,10 @@ non-uniform shaped mean) takes _tie_groups: one walk over every
 partition, sorted as an order's, yielding each tie group's content,
 string total and partitions, and caching nothing.  top_tallies tallies
 the symbol counts of the highest-content strings off the rows of the same
-kind of tail, and builds no order.  Every walk starts in _tail_rows, which
-checks the composition cap first.
+kind of tail, and builds no order.  What every walk costs is bounded where
+it keeps its rows: each row is charged its bytes against one budget,
+WALK_BYTE_BUDGET, and a walk that would keep more raises
+ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -67,22 +69,10 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# The composition cap: the exact layer refuses more composition classes than this.
-DEFAULT_COMPOSITION_CAP = 10**8
-
-
-def check_composition_cap(n: int, a: int) -> None:
-    """Raise ResourceLimitError if n into a parts has more compositions than the cap.
-
-    The count is C(n+a-1, a-1), by stars and bars; the cap is
-    DEFAULT_COMPOSITION_CAP, read when this is called.
-    """
-    count = math.comb(n + a - 1, a - 1)
-    if count > DEFAULT_COMPOSITION_CAP:
-        raise ResourceLimitError(
-            f"{count} composition classes for n={n}, a={a} "
-            f"exceeds the cap of {DEFAULT_COMPOSITION_CAP}"
-        )
+# Bytes a partition walk may keep in rows.  A fixed constant, not a share
+# of physical memory, so that which rows are exact and which sampled, and so
+# every seeded output, is the same on every machine.
+WALK_BYTE_BUDGET = 512 * 2**20
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -164,9 +154,20 @@ def _partition_rows(
     the limit ends the loop.  The bound's key is compared with ln(limit) in
     floats; only where the two lie within the keys' error bound are the
     exact integer products compared, so every decision is the exact one.
+
+    Each row kept is charged against WALK_BYTE_BUDGET, read at call time:
+    330 bytes, and twice the n*log2(a)/8 bytes of a string total, once in
+    the row and once in an order's prefix sums.  The 330 cover the row's
+    tuples, key and list slot, about 200 bytes, and an order build's sort
+    arrays and partition matrix: the (101, 10) tail's build peaks at 318
+    bytes a row under tracemalloc.  The walk keeps at most the budget over
+    the charge rows and raises ResourceLimitError on the next; the rows
+    kept so far are freed with the exception.
     """
     xlnx = [0.0, 0.0] + [c * math.log(c) for c in range(2, n + 1)]
     rows: list[tuple[float, tuple[int, ...], int]] = []
+    charge = 330 + math.ceil(n * math.log2(a) / 4)
+    most = WALK_BYTE_BUDGET // charge
     if limit is not None:
         if limit < 1:
             return rows
@@ -199,21 +200,28 @@ def _partition_rows(
             size = size * (r + 1) // c
             c_run = run + 1 if c == top else 1
             count2 = count * slots // c_run
-            if not r:
-                rows.append((k, prefix + (c,), size * count2))
-            elif not last:
+            if r and not last:
                 walk(prefix + (c,), r, slots - 1, c, k, size, count2, c_run)
-            elif r < c:
-                rows.append((k, prefix + (c, r), size * count2))
-            else:
-                rows.append((k, prefix + (c, r), size * (count2 // (c_run + 1))))
+                continue
+            if r == c:
+                # The last two parts are equal: r extends c's run too.
+                count2 //= c_run + 1
+            if len(rows) == most:
+                raise ResourceLimitError(
+                    f"the partitions of n={n} into a={a} parts need more than {most} "
+                    f"rows of {charge} bytes each, past the walk's byte budget"
+                )
+            rows.append((k, prefix + ((c, r) if r else (c,)), size * count2))
 
-    if a > 1:
-        walk((), n, a, n, 0.0, 1, 1, 0)
-    elif limit is None or n**n <= limit:
-        rows.append((xlnx[n], (n,), 1))
-    # walk refers to itself; dropping it frees it, and so rows, with the caller.
-    del walk
+    try:
+        if a > 1:
+            walk((), n, a, n, 0.0, 1, 1, 0)
+        elif limit is None or n**n <= limit:
+            rows.append((xlnx[n], (n,), 1))
+    finally:
+        # walk refers to itself; dropping it frees it, and so rows, with the
+        # caller or with a refusal.
+        del walk
     return rows
 
 
@@ -280,10 +288,7 @@ def _tail_rows(n: int, a: int, uncovered: int) -> tuple[list, int]:
     The rows are those _partition_rows keeps under the product limit of
     _cover_limit, in walk order.  Where that limit holds too few strings,
     and with uncovered 0, they are every row, which hold all a**n strings.
-    Every partition walk starts here, so the composition cap is checked
-    here, before any walk.
     """
-    check_composition_cap(n, a)
     if uncovered:
         rows = _partition_rows(n, a, _cover_limit(n, a, uncovered))
         covered = sum(row[2] for row in rows)
@@ -758,8 +763,8 @@ _ORDER_LOCK = threading.Lock()
 def class_order(n: int, a: int) -> ClassOrder:
     """Shared ClassOrder for (n, a); builds are serialized and idempotent.
 
-    The composition cap is checked when the order is built, so a cached
-    order has already passed it.
+    The walk's byte budget is charged when the order is built, so a
+    cached order has already passed it.
     """
     return _cached_order(n, a, whole=False)
 

@@ -327,7 +327,10 @@ def estimate_table(
 
     method "exact" computes every row exactly and lets the exact layer's
     ResourceLimitError through, "mc" samples every row, and "auto" tries
-    the exact row and samples it when the exact layer refuses it.
+    the exact row and samples it when the exact layer refuses it.  A row
+    takes one method: auto computes the shaped mean first, the one exact
+    column whose partition walk the byte budget can refuse, so a refused
+    row has done no exact work and samples both columns.
     """
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -336,12 +339,12 @@ def estimate_table(
         a, n, k = config.alphabet_size, config.n, config.k
         if method != "mc":
             try:
-                source = average_info_exact(SourceEnsemble.uniform(a), n)
                 shaped = shaped_average_info_exact(a, n, k)
             except ResourceLimitError:
                 if method == "exact":
                     raise
             else:
+                source = average_info_exact(SourceEnsemble.uniform(a), n)
                 reports.append(AverageReport(a, n, k, source, shaped, method="exact"))
                 continue
         est_x = estimate_average_info(config)

@@ -36,7 +36,6 @@ from setshaping import (
     string_rank,
     unshape,
 )
-from setshaping import compositions
 
 # Published reference rows (three-decimal rounding): a -> (source, shaped, diff).
 TABLE1_REFERENCE = {
@@ -62,8 +61,8 @@ TABLE2_REFERENCE = {
     10: (325.568, 322.417, 3.151),
 }
 
-# Exact Table 2 rows past the composition cap, a -> (source, shaped), as
-# recorded in ROADMAP item 1 to four decimals.
+# Exact Table 2 rows a=6..10, which the former composition cap refused,
+# a -> (source, shaped), as recorded in ROADMAP item 1 to four decimals.
 TABLE2_EXACT_PAST_CAP = {
     6: (254.8450, 253.4318),
     7: (276.3456, 274.4818),
@@ -137,8 +136,8 @@ def test_criterion_2_series_scenario(failures):
 
 @criterion(3, "table2-hybrid")
 def test_criterion_3_long_block_table(failures):
-    """Exact a=2..5 within +-0.05, and a=6..10 with the composition cap
-    raised within +-0.05 and equal to ROADMAP's values to 4 decimals; MC
+    """Exact a=2..5 within +-0.05, and a=6..10 within +-0.05 and equal to
+    ROADMAP's values to 4 decimals, all under the default walk budget; MC
     (M=1e6) all rows within +-0.15 and within 3 standard errors of exact;
     diffs increase."""
     start = time.perf_counter()
@@ -156,19 +155,17 @@ def test_criterion_3_long_block_table(failures):
             failures.append(f"exact a={a} I(y) {y:.6f} vs {want_y}")
 
     past_cap = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compositions, "DEFAULT_COMPOSITION_CAP", math.comb(n + k + 9, 9))
-        for a, (want_x4, want_y4) in TABLE2_EXACT_PAST_CAP.items():
-            x = average_info_exact(SourceEnsemble.uniform(a), n)
-            y = shaped_average_info_exact(a, n, k)
-            past_cap[a] = (x, y)
-            want_x, want_y, _ = TABLE2_REFERENCE[a]
-            if abs(x - want_x) > 0.05:
-                failures.append(f"exact a={a} I(x) {x:.6f} vs {want_x}")
-            if abs(y - want_y) > 0.05:
-                failures.append(f"exact a={a} I(y) {y:.6f} vs {want_y}")
-            if (round(x, 4), round(y, 4)) != (want_x4, want_y4):
-                failures.append(f"exact a={a} ({x:.6f}, {y:.6f}) vs ({want_x4}, {want_y4})")
+    for a, (want_x4, want_y4) in TABLE2_EXACT_PAST_CAP.items():
+        x = average_info_exact(SourceEnsemble.uniform(a), n)
+        y = shaped_average_info_exact(a, n, k)
+        past_cap[a] = (x, y)
+        want_x, want_y, _ = TABLE2_REFERENCE[a]
+        if abs(x - want_x) > 0.05:
+            failures.append(f"exact a={a} I(x) {x:.6f} vs {want_x}")
+        if abs(y - want_y) > 0.05:
+            failures.append(f"exact a={a} I(y) {y:.6f} vs {want_y}")
+        if (round(x, 4), round(y, 4)) != (want_x4, want_y4):
+            failures.append(f"exact a={a} ({x:.6f}, {y:.6f}) vs ({want_x4}, {want_y4})")
 
     mc = {}
     for a in range(2, 11):

@@ -129,9 +129,8 @@ class TestWithinClass:
             self.check(s, a)
 
     def test_large_alphabet(self, monkeypatch):
-        # 3 into 1000 parts has more compositions than the cap admits, but
-        # its order holds three partitions
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 10**9)
+        # 3 into 1000 parts has 167,167,000 compositions, but its order holds
+        # three partitions
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
         for s in [(0, 0, 0), (0, 0, 999), (0, 5, 0), (999, 0, 0), (7, 7, 0), (3, 998, 2)]:
             self.check(s, 1000)

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import resource
+import select
 import subprocess
 import sys
 
@@ -38,7 +41,7 @@ TABLE2_MC_CSV = (
 
 # stdout of the exact table commands: `table1` and `table1 --interpretation
 # literal` (csv), and `table2 --method auto -M 20000 --seed 3 --threads 2`
-# (csv), whose rows a=2..5 are exact and a=6..10 sampled.
+# (csv), whose rows a=2..10 are all exact.
 TABLE1_CSV = (
     "alphabet_size,block_length,surplus,method,source_bits,shaped_bits,diff_bits,source_stderr,shaped_stderr,samples,seed\n"
     "2,2,1,exact,1.000,1.377,-0.377,,,,\n"
@@ -65,11 +68,11 @@ TABLE2_AUTO_CSV = (
     "3,100,1,exact,157.043710,157.033591,0.010120,,,,\n"
     "4,100,1,exact,197.817305,197.338892,0.478413,,,,\n"
     "5,100,1,exact,229.277247,228.326414,0.950833,,,,\n"
-    "6,100,1,monte-carlo,254.847707,253.477766,1.369940,0.016253,0.044429,20000,9\n"
-    "7,100,1,monte-carlo,276.324226,274.396739,1.927486,0.018088,0.050922,20000,10\n"
-    "8,100,1,monte-carlo,294.842714,292.535060,2.307654,0.019410,0.055827,20000,11\n"
-    "9,100,1,monte-carlo,311.105636,308.312108,2.793528,0.020906,0.062789,20000,12\n"
-    "10,100,1,monte-carlo,325.536340,322.243509,3.292830,0.022536,0.071306,20000,13\n"
+    "6,100,1,exact,254.845003,253.431847,1.413156,,,,\n"
+    "7,100,1,exact,276.345625,274.481831,1.863793,,,,\n"
+    "8,100,1,exact,294.868439,292.565816,2.302623,,,,\n"
+    "9,100,1,exact,311.116004,308.384367,2.731638,,,,\n"
+    "10,100,1,exact,325.567930,322.415372,3.152558,,,,\n"
 )
 
 # `table1 --format json`: these (source, shaped, diff) bits per row, a=2..7,
@@ -181,10 +184,38 @@ class TestRankCommands:
         assert (code, out) == (3, "")
         assert err == "error: text mode expects decimal digits only\n"
 
-    def test_resource_cap_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "rank", "0" * 40, "-a", "10")
-        assert code == 4
-        assert "error" in err
+    def test_resource_cap_exit_code(self, capsys, monkeypatch):
+        # The complete order of 40 into 10 parts walks 16,928 rows of 364
+        # bytes, 6.2 MB, against a budget of 1 MB.
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 10**6)
+        code, out, err = run_cli(capsys, "rank", "0" * 40, "-a", "10")
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the partitions of n=40 into a=10 parts need more than")
+        assert err.count("\n") == 1
+
+    def test_unrank_past_the_budget_exits_4_in_bounded_memory(self):
+        # The complete binary order at n=100000 has 50,001 rows whose string
+        # totals reach 12.5 kB each; the walk is refused after 21,195 of them,
+        # well inside 1 GB of address space.
+        limit = 2**30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "setshaping", "unrank", "0", "-n", "100000", "-a", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,
+            # One BLAS thread: its per-thread buffers would otherwise reserve
+            # address space in proportion to the host's core count.
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert (result.returncode, result.stdout) == (4, "")
+        assert result.stderr.startswith("error: ")
+        assert result.stderr.count("\n") == 1
 
 
 class TestTable1:
@@ -262,7 +293,10 @@ class TestTable1:
 
 
 class TestTable2:
-    def test_auto_method_splits_at_the_cap(self, capsys):
+    def test_auto_method_splits_at_the_cap(self, capsys, monkeypatch):
+        # The shaped means' walks keep 779 rows of 389 bytes at a=5 and
+        # 1,978 of 396 at a=6 (n+k = 101): 5*10**5 bytes admit a=2..5 only.
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 5 * 10**5)
         code, out, _ = run_cli(
             capsys, "table2", "-M", "3000", "--seed", "5", "--format", "json"
         )
@@ -283,10 +317,9 @@ class TestTable2:
                 assert r["source_stderr"] > 0
                 assert r["shaped_stderr"] > 0
 
-    def test_forced_exact_hits_the_cap(self, capsys):
-        code, _, err = run_cli(capsys, "table2", "--method", "exact")
-        assert code == 4
-        assert "error" in err
+    def test_forced_exact_prints_every_row_exactly(self, capsys):
+        # The exact rows do not depend on the seed, so they are auto's.
+        assert run_cli(capsys, "table2", "--method", "exact") == (0, TABLE2_AUTO_CSV, "")
 
     def test_literal_rows_are_constants(self, capsys):
         code, out, _ = run_cli(capsys, "table2", "--interpretation", "literal")
@@ -493,6 +526,7 @@ class TestExitCodes:
             (DegenerateSampleError, 3),
             (ShapingError, 3),
             (ValueError, 2),
+            (OSError, 2),
         ],
     )
     def test_error_type_maps_to_exit_code(self, capsys, monkeypatch, error, code):
@@ -501,6 +535,129 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "cmd_rank", handler)
         assert run_cli(capsys, "rank", "-a", "3", "012") == (code, "", "error: stub failure\n")
+
+
+class TestInputOutput:
+    """A path that cannot be read or written is exit 2 with one error line;
+    a stdout its reader has closed ends quietly."""
+
+    @staticmethod
+    def one_error_naming(err, path):
+        return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    def test_missing_input_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.bin"
+        code, out, err = run_cli(capsys, "shape", str(missing), "-a", "3", "-n", "5")
+        assert (code, out) == (2, "")
+        assert self.one_error_naming(err, missing)
+
+    def test_output_into_a_missing_directory(self, capsys, tmp_path):
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes([0, 1, 2, 1, 0]))
+        target = tmp_path / "absent" / "out.bin"
+        code, out, err = run_cli(capsys, "shape", str(src), "-a", "3", "-n", "5", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert self.one_error_naming(err, target)
+        code, out, err = run_cli(capsys, "table1", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert self.one_error_naming(err, target)
+
+    def test_output_onto_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "table1", "-o", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert self.one_error_naming(err, tmp_path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 59,050 lines: the write fails inside the command
+            ("figure1",),
+            # one short line: the write fails at the flush on the way out
+            ("unrank", "0", "-n", "3", "-a", "2"),
+        ],
+    )
+    def test_stdout_closed_early_exits_quietly(self, argv):
+        # stdout is a pipe whose read end is closed before the command runs.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "setshaping", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, b"")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 59,050 lines: the write fails inside the command
+            ("figure1",),
+            # one short line: the write fails at the flush on the way out
+            ("unrank", "0", "-n", "3", "-a", "2"),
+            # one CSV table
+            ("table1",),
+        ],
+    )
+    def test_stdout_on_a_full_device_is_an_error(self, argv):
+        # Every write to /dev/full fails with ENOSPC.  The error is reported
+        # once, and the flush at exit must not fail on the bytes left over.
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "setshaping", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+        assert "No space left on device" in result.stderr
+
+    def test_output_file_on_a_full_device_is_an_error(self, tmp_path):
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes([0, 1, 2, 1, 0]))
+        result = subprocess.run(
+            [sys.executable, "-m", "setshaping", "shape", str(src), "-a", "3", "-n", "5",
+             "-o", "/dev/full"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+    def test_output_pipe_closed_early_is_an_error(self, tmp_path):
+        # A broken pipe at -o is a failed output, not a closed stdout.  The
+        # output, 220,000 bytes, outgrows the FIFO's buffer, so the command
+        # is still writing when the reader goes.
+        src = tmp_path / "in.bin"
+        src.write_bytes(bytes([0, 1]) * 100_000)
+        fifo = tmp_path / "out"
+        os.mkfifo(fifo)
+        # Opened without blocking and before the command starts, so that the
+        # command's open for writing finds a reader.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "setshaping", "shape", str(src), "-a", "2", "-n", "10",
+             "-o", str(fifo)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            # Close the reader once the first bytes have come.
+            assert select.select([reader], [], [], 60)[0]
+            assert os.read(reader, 1)
+        finally:
+            os.close(reader)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Broken pipe" in err
 
 
 class TestParser:

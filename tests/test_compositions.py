@@ -1,5 +1,6 @@
 """Exact composition order: products, weights, tie groups, selection."""
 
+import gc
 import math
 import sys
 import tracemalloc
@@ -36,14 +37,19 @@ from setshaping.compositions import (
     _tie_groups,
     _upper_normal_quantile,
     _whole_order,
-    check_composition_cap,
     top_tallies,
 )
+from setshaping import compositions as compositions_module
 
 
 # Bytes a tail row retains, with its share of the per-group arrays: 110.1
 # at (101, 5) with Python 3.11.7 and numpy 2.4.6.
 PER_ROW_LIMIT = 111
+
+
+def walk_charge(n, a):
+    """Bytes a partition walk charges its budget for each row it keeps."""
+    return 330 + math.ceil(n * math.log2(a) / 4)
 
 
 def compositions():
@@ -195,20 +201,57 @@ class TestCounting:
             assert sum(multinomial(c) for c in oracles.compositions(n, a)) == a**n
 
     def test_cap_enforced(self, monkeypatch):
+        assert compositions_module.WALK_BYTE_BUDGET == 512 * 2**20
+        # The walk of 9 into 3 parts keeps 12 rows of walk_charge(9, 3) = 334
+        # bytes.  The budget is read at call time, and a walk that keeps
+        # exactly the budget is admitted.
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 12 * walk_charge(9, 3))
+        assert len(_partition_rows(9, 3)) == 12
+        class_order(9, 3)
+        monkeypatch.setattr(
+            "setshaping.compositions.WALK_BYTE_BUDGET", 12 * walk_charge(9, 3) - 1
+        )
+        with pytest.raises(ResourceLimitError, match="more than 11 rows of 334 bytes each"):
+            _partition_rows(9, 3)
         with pytest.raises(ResourceLimitError):
-            check_composition_cap(101, 10)
+            ClassOrder(9, 3)
+        # Far past it: the 16,928 rows of 40 into 10 parts against 1 MB.
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError):
             ClassOrder(40, 10)
-        # the cap is read at call time, and the boundary itself is allowed:
-        # 4 into 3 parts has 15 compositions, 5 into 3 parts 21
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 15)
-        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
-        check_composition_cap(4, 3)
-        class_order(4, 3)
-        with pytest.raises(ResourceLimitError):
-            check_composition_cap(5, 3)
-        with pytest.raises(ResourceLimitError):
-            class_order(5, 3)
+
+    def test_budget_admits_what_the_composition_count_would_not(self):
+        # 3 into 1000 parts has 167,167,000 compositions, but three
+        # partitions; (40, 10) has 2,054,455,634 compositions and 16,928 rows.
+        assert [row[1] for row in _partition_rows(3, 1000)] == [(1, 1, 1), (2, 1), (3,)]
+        assert len(_partition_rows(40, 10)) == 16928
+
+    def test_refused_walk_frees_its_rows(self, monkeypatch):
+        # With the collector off, only reference counts free the rows kept
+        # before the refusal: once the exception is handled, nothing may hold
+        # them, in a cycle or otherwise.  Binary rows at n=20000 carry string
+        # totals of up to 2.5 kB, ints that no free list keeps.
+        monkeypatch.setattr(
+            "setshaping.compositions.WALK_BYTE_BUDGET", 200 * walk_charge(20000, 2)
+        )
+        refused = False
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            try:
+                _partition_rows(20000, 2)
+            except ResourceLimitError:
+                refused = True
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert refused
+        assert peak > 10**6
+        assert current < peak / 20
 
 
 class TestOrderKeys:
@@ -459,16 +502,19 @@ class TestClassOrder:
         assert type(ClassOrder(np.int64(3), np.int64(2)).n) is int
 
     def test_cap_applies_to_cached_orders(self, monkeypatch):
-        # 9 into 3 parts has 55 compositions; the cap guards the build, and the
-        # cached order it admits is the one every later call returns
+        # 9 into 3 parts walks 12 rows; the byte budget guards the build, and
+        # the cached order it admits is the one every later call returns,
+        # with no walk, under any budget
         cache = {}
+        need = 12 * walk_charge(9, 3)
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 54)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError):
             class_order(9, 3)
         assert cache == {}
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", need)
         order = class_order(9, 3)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 0)
         assert class_order(9, 3) is order
 
     @settings(max_examples=60)
@@ -682,10 +728,16 @@ class TestTopGroups:
             top_tallies(3, 2, 9)
 
     def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 54)
+        # The tail that leaves out all but one string of 9 into 3 parts keeps
+        # 5 rows; a budget of none refuses it outright.
+        need = 5 * walk_charge(9, 3)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError):
             top_tallies(9, 3, 1)
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 55)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 0)
+        with pytest.raises(ResourceLimitError):
+            top_tallies(9, 3, 1)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", need)
         assert top_tallies(9, 3, 1) == [0, 0, 0, 3, 0, 0, 0, 0, 0, 0]
 
 

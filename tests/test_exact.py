@@ -108,11 +108,11 @@ class TestAverageInfoExact:
         assert math.isclose(got, want, abs_tol=1e-9)
 
     def test_cap_guards_the_walks_not_the_mean(self, monkeypatch):
-        # 9 into 3 parts has 55 compositions: the cap of 10 refuses the
-        # partition walks, while the mean, a binomial sum, walks none
+        # A byte budget of 0 refuses every partition walk, while the mean, a
+        # binomial sum, walks none
         sources = (SourceEnsemble.uniform(3), SourceEnsemble((0.5, 0.3, 0.2)))
         want = [average_info_exact(ens, 9) for ens in sources]
-        monkeypatch.setattr(compositions, "DEFAULT_COMPOSITION_CAP", 10)
+        monkeypatch.setattr(compositions, "WALK_BYTE_BUDGET", 0)
         monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
         assert [average_info_exact(ens, 9) for ens in sources] == want
         with pytest.raises(ResourceLimitError):
@@ -121,7 +121,7 @@ class TestAverageInfoExact:
             compositions.top_tallies(9, 3, 1)
 
     def test_table2_source_column_past_the_cap_walks_no_partition(self, monkeypatch):
-        # a=6..10 at n=100 lie past the composition cap for the shaped mean
+        # the source column of Table 2 is a binomial sum at every alphabet
         walks = counted_walks(monkeypatch)
         for a in range(6, 11):
             got = average_info_exact(SourceEnsemble.uniform(a), 100)
@@ -267,9 +267,7 @@ class TestShapedAverage:
         assert 0 < sum(kept) < 5000
 
     def test_table2_rows_take_one_walk(self, monkeypatch):
-        # the first limit holds the left-out strings at every alphabet, with
-        # the cap raised as criterion 3 raises it
-        monkeypatch.setattr(compositions, "DEFAULT_COMPOSITION_CAP", math.comb(110, 9))
+        # the first limit holds the left-out strings at every alphabet
         monkeypatch.setattr(compositions, "_ORDER_CACHE", {})
         limits = []
         walk = compositions._partition_rows
@@ -297,7 +295,7 @@ class TestShapedAverage:
         assert math.isclose(got, 5 * math.log2(3), abs_tol=1e-12)
 
     def test_literal_uniform_shaped_mean_walks_no_partition(self, monkeypatch):
-        # a**(n+k) = 10**101 strings, past the cap: the constant needs no order
+        # a**(n+k) = 10**101 strings: the constant needs no order
         walks = []
         walk = compositions._partition_rows
         monkeypatch.setattr(

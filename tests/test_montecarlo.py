@@ -565,7 +565,11 @@ class TestEstimateTable:
     def test_empty_input(self):
         assert estimate_table([]) == []
 
-    def test_auto_splits_by_enumerability(self):
+    def test_auto_splits_by_enumerability(self, monkeypatch):
+        # The shaped mean's walk keeps 47 rows of 371 bytes at a=3 and 1,978
+        # rows of 396 bytes at a=6 (n+k = 101): a budget of 10**5 bytes
+        # admits the first and refuses the second.
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 10**5)
         configs = [
             McConfig(alphabet_size=3, n=100, k=1, samples=2000, seed=0),
             McConfig(alphabet_size=6, n=100, k=1, samples=2000, seed=0),
@@ -585,28 +589,40 @@ class TestEstimateTable:
         assert row.source_bits == exact_x
         assert row.shaped_bits == exact_y
 
-    def test_forced_exact_past_the_cap_fails(self):
+    def test_forced_exact_past_the_cap_fails(self, monkeypatch):
+        # The a=10 row's walk keeps 30,789 rows of 414 bytes, 12.7 MB.
+        config = McConfig(alphabet_size=10, n=100, k=1, samples=10, seed=0)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError):
-            estimate_table(
-                [McConfig(alphabet_size=10, n=100, k=1, samples=10, seed=0)],
-                method="exact",
-            )
+            estimate_table([config], method="exact")
 
     def test_auto_samples_exactly_the_rows_the_exact_layer_refuses(self, monkeypatch):
-        # At a=3, n=9, k=1 the shaped mean walks the order at n+k=10, which
-        # has 66 composition classes; the source mean walks none.
+        # At a=3, n=9, k=1 the shaped mean walks 6 rows of 334 bytes at
+        # n+k=10; the source mean walks none.  A refused row is sampled in
+        # both columns, and its exact source mean is never computed.
         config = McConfig(alphabet_size=3, n=9, k=1, samples=2000, seed=0)
+        sources = []
+        monkeypatch.setattr(
+            montecarlo,
+            "average_info_exact",
+            lambda *args: sources.append(args) or average_info_exact(*args),
+        )
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 60)
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 6 * 334 - 1)
         (row,) = estimate_table([config], method="auto")
         assert row.method == "monte-carlo"
         assert row.samples == 2000
+        assert row.source_stderr > 0
+        assert sources == []
         with pytest.raises(ResourceLimitError):
             estimate_table([config], method="exact")
-        monkeypatch.setattr("setshaping.compositions.DEFAULT_COMPOSITION_CAP", 66)
+        assert sources == []
+        monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 6 * 334)
         (row,) = estimate_table([config], method="auto")
         assert row.method == "exact"
         assert row.shaped_bits == shaped_average_info_exact(3, 9, 1)
+        assert row.source_bits == average_info_exact(SourceEnsemble.uniform(3), 9)
+        assert len(sources) == 1
 
     def test_forced_mc_on_small_problem(self):
         (row,) = estimate_table(

@@ -181,10 +181,22 @@ def raise_saying(text):
     )
 
 
-def test_composition_cap_is_checked_once_at_the_walk():
-    # Every partition walk starts in compositions._tail_rows, so that is the
-    # one place the cap is checked; nothing that walks no partition is capped.
-    assert sites(call_of("check_composition_cap")) == [("compositions.py", "_tail_rows")]
+def test_walk_budget_is_read_once_in_the_walk():
+    # A walk is charged where it keeps its rows: the byte budget is read at
+    # one site, compositions._partition_rows, which refuses in its walk, and
+    # no guard counts compositions any more.
+    def reads_budget(node):
+        return isinstance(node, (ast.Name, ast.Attribute)) and (
+            getattr(node, "id", None) or node.attr
+        ) == "WALK_BYTE_BUDGET" and isinstance(node.ctx, ast.Load)
+
+    def names_the_cap(node):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", "")
+        return "composition_cap" in str(name).lower()
+
+    assert sites(reads_budget) == [("compositions.py", "_partition_rows")]
+    assert sites(raise_saying("byte budget")) == [("compositions.py", "_partition_rows.walk")]
+    assert sites(names_the_cap) == []
 
 
 def test_complete_order_is_built_only_below_a_tail():

@@ -1,0 +1,151 @@
+"""Run the benchmark in alternating pairs on a parent commit and on this tree.
+
+Usage, from the repository root:
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 21
+
+The parent is unpacked with `git archive <rev> | tar -x` into a temporary
+directory; the change is this working tree.  Each of ten pairs runs
+`python3 benchmarks/run.py --workload all --seconds 40` once in each tree,
+the parent first in odd pairs and the change first in even pairs, so drift
+in the speed of a shared host falls on both alike.  Every end-to-end metric that BENCHMARK.json declares is
+summarised by its median and quartiles per tree, the change's median over
+the parent's, and how many pairs each side won.  The result is written to
+BENCH_<pr>.json at the repository root.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
+COMMAND = ["benchmarks/run.py", "--workload", "all", "--seconds", "40"]
+RUN_TIMEOUT_S = 1800
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def unpack(rev: str, into: Path) -> Path:
+    """The tree of rev, extracted under into."""
+    into.mkdir()
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {rev} failed")
+    return into
+
+
+def run_benchmark(tree: Path) -> dict:
+    """The last stdout line of one benchmark run in tree, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, *COMMAND],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        timeout=RUN_TIMEOUT_S,
+    )
+    if proc.returncode or not proc.stdout.strip():
+        raise SystemExit(f"benchmark in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(name: str, declared: dict, parent: list[dict], change: list[dict]) -> dict:
+    """One metric over the pairs: quartiles per tree, ratio of medians, wins."""
+    parent_runs = [run["metrics"][name]["value"] for run in parent]
+    change_runs = [run["metrics"][name]["value"] for run in change]
+    sign = 1 if declared["better"] == "lower" else -1
+    change_wins = sum(sign * (c - p) < 0 for p, c in zip(parent_runs, change_runs))
+    parent_wins = sum(sign * (p - c) < 0 for p, c in zip(parent_runs, change_runs))
+    parent_q, change_q = quartiles(parent_runs), quartiles(change_runs)
+    return {
+        "unit": declared["unit"],
+        "better": declared["better"],
+        "bound": declared["bound"],
+        "parent": parent_q,
+        "change": change_q,
+        "change_over_parent": change_q["median"] / parent_q["median"],
+        "change_wins": change_wins,
+        "parent_wins": parent_wins,
+        "pairs": len(parent_runs),
+        "parent_runs": parent_runs,
+        "change_runs": change_runs,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--pr", required=True, help="suffix of the BENCH_<pr>.json written")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {
+        f"{w['name']}.{m['name']}": m for w in spec["workloads"] for m in spec["end_to_end"]
+    }
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        trees = {"parent": unpack(args.parent, Path(scratch) / "parent"), "change": ROOT}
+        for pair in range(1, PAIRS + 1):
+            sides = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in sides:
+                print(f"pair {pair}/{PAIRS}: {side}", file=sys.stderr, flush=True)
+                runs[side].append(run_benchmark(trees[side]))
+
+    result = {
+        "command": " ".join(["python3", *COMMAND]),
+        "parent_commit": git("rev-parse", args.parent),
+        "change": "the tree of the commit that adds this file",
+        "pairs": PAIRS,
+        "order": "alternating: the parent ran first in odd pairs, the change in even pairs",
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "platform": platform.platform(),
+        },
+        "correct": all(run["correct"] for side in runs.values() for run in side),
+        "failed": {side: sum(run["failed"] for run in r) for side, r in runs.items()},
+        "attempted": {side: sum(run["attempted"] for run in r) for side, r in runs.items()},
+        "metrics": {
+            name: summarise(name, declared[name], runs["parent"], runs["change"])
+            for name in sorted(declared)
+        },
+        "claim": None,
+    }
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(result, indent=1) + "\n")
+    for name, metric in result["metrics"].items():
+        print(
+            f"{name:<32} parent {metric['parent']['median']:<12.6g} "
+            f"change {metric['change']['median']:<12.6g} "
+            f"ratio {metric['change_over_parent']:.4f} "
+            f"wins {metric['change_wins']}/{metric['pairs']}",
+            file=sys.stderr,
+        )
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
