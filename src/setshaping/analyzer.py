@@ -256,7 +256,7 @@ def rank_info_series(a: int, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     total = a**n
     if total > SERIES_LIMIT:
         raise ResourceLimitError(
-            f"{a}**{n} = {total} ranks exceed the series limit of {SERIES_LIMIT}"
+            f"{a}**{n} ranks exceed the series limit of {SERIES_LIMIT}"
         )
 
     def series(length: int) -> np.ndarray:

@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 stdout closed by its reader (quietly, nothing on
 stderr), 2 invalid arguments or an input or output, stdout included, that
 cannot be opened, read or written, 3 domain error (invalid symbol, bad
 block length, not in image, corrupt stream, degenerate sample), 4 resource
-limit exceeded (the partition walk's byte budget, series limit, physical
-memory).
+limit exceeded (the partition walk's byte budget or depth, series limit,
+physical memory).
 """
 
 from __future__ import annotations

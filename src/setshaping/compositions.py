@@ -29,11 +29,12 @@ runs whose keys lie within the bound of each other to exact integer
 products, which order them and find the ties, so floats never decide a
 placement that exact products would decide differently, and flags the
 ties, which give the tie groups.  A ClassOrder keeps no products, no
-class sizes and no contents: a small-int matrix of the partitions, their
-bytes sorted for lookup, and, per tie group, its first row and the exact
-number of strings before it, about 110 bytes a row at n=101, a=5 against
-570 with the rows kept whole.  Class sizes and class
-counts are recomputed for the one group a query reads.  Given a product
+class sizes and no contents, only numpy arrays: a small-int matrix of the
+partitions, their bytes sorted for lookup, and, per tie group, its first
+row and the exact number of strings before it as big-endian bytes as wide
+as a**n, about 71 bytes a row at n=101, a=5 against 110 with the prefix
+sums a list of ints and 570 with the rows kept whole.  Class sizes and
+class counts are recomputed for the one group a query reads.  Given a product
 limit, the same walk keeps only the rows at or below it: the high-content
 end of the order, where nearly every string lies.  The limit is an exact
 product, and a key within the bound of its log is tested on exact
@@ -41,7 +42,9 @@ products, so that tail is an exact suffix of the complete order and each of
 its tie groups is whole.  A ClassOrder is built as that tail, holding all
 but at most 2**-20 of the strings, and is never changed: it answers rank
 and selection, and a query below the tail goes to the shared complete
-order, which _whole_order builds with one walk over every partition.  A
+order, which _whole_order builds with one walk over every partition.  The
+shared orders are cached up to ORDER_CACHE_BYTE_BUDGET bytes of their
+arrays, the least recently used evicted first.  A
 reader of the whole order from end to end (the per-rank series, the
 non-uniform shaped mean) takes _tie_groups: one walk over every
 partition, sorted as an order's, yielding each tie group's content,
@@ -58,9 +61,9 @@ from __future__ import annotations
 import heapq
 import math
 import operator
+import sys
 import threading
 from array import array
-from bisect import bisect_right
 from itertools import accumulate, chain, compress, repeat
 from operator import eq, itemgetter
 from typing import Iterator, Sequence
@@ -73,6 +76,9 @@ from .errors import ResourceLimitError
 # of physical memory, so that which rows are exact and which sampled, and so
 # every seeded output, is the same on every machine.
 WALK_BYTE_BUDGET = 512 * 2**20
+# Bytes of the class orders the cache keeps (their ClassOrder.nbytes).  Past
+# it, a build evicts the least recently used orders, never its own.
+ORDER_CACHE_BYTE_BUDGET = 256 * 2**20
 
 
 def multinomial(counts: Sequence[int]) -> int:
@@ -162,7 +168,9 @@ def _partition_rows(
     arrays and partition matrix: the (101, 10) tail's build peaks at 318
     bytes a row under tracemalloc.  The walk keeps at most the budget over
     the charge rows and raises ResourceLimitError on the next; the rows
-    kept so far are freed with the exception.
+    kept so far are freed with the exception.  The walk nests one call per
+    part; one that would nest past the recursion limit raises
+    ResourceLimitError too.
     """
     xlnx = [0.0, 0.0] + [c * math.log(c) for c in range(2, n + 1)]
     rows: list[tuple[float, tuple[int, ...], int]] = []
@@ -218,6 +226,12 @@ def _partition_rows(
             walk((), n, a, n, 0.0, 1, 1, 0)
         elif limit is None or n**n <= limit:
             rows.append((xlnx[n], (n,), 1))
+    except RecursionError:
+        # The walk nests a call per part, up to min(n, a) deep.
+        raise ResourceLimitError(
+            f"the partitions of n={n} into a={a} parts nest deeper than the walk's "
+            f"recursion limit of {sys.getrecursionlimit()}"
+        ) from None
     finally:
         # walk refers to itself; dropping it frees it, and so rows, with the
         # caller or with a refusal.
@@ -577,10 +591,12 @@ class ClassOrder:
     any content.  It keeps the partitions, one row each of `_parts`, a
     small-int matrix with min(n, a) columns padded with zeros, and per tie
     group its first row in `_starts` and, in `_prefix`, the exact number of
-    strings before it in the whole order.  A partition is looked up by its
-    bytes: `_keys` holds every row's bytes sorted and `_key_groups` the
-    group of each.  Rank and selection queries read one group's
-    partitions, recompute their class sizes and class counts (see
+    strings before it in the whole order, as fixed-width big-endian bytes
+    that _prefix_at reads back.  A partition is looked up by its bytes:
+    `_keys` holds every row's bytes sorted and `_key_groups` the group of
+    each.  Every one of these fields is a numpy array, so `nbytes`, their
+    sum, is what the order holds.  Rank and selection queries read one
+    group's partitions, recompute their class sizes and class counts (see
     _group_classes), and never materialize the composition list.  A reader
     of the whole order, group by group, takes _tie_groups instead.
 
@@ -588,7 +604,7 @@ class ClassOrder:
     product limit that leaves out at most a**n >> 20 strings (see
     _tail_rows), so a random string almost always lies in it.  The limit is
     an exact product, so the tail is an exact suffix of the complete order
-    and each of its tie groups is whole; _prefix[0] is the number of
+    and each of its tie groups is whole; _prefix_at(0) is the number of
     strings below it, 0 for a complete order.  The group tables
     (group_partitions, group_products) list the groups the order holds.
     No field is reassigned after __init__, so threads may share an order.
@@ -611,11 +627,17 @@ class ClassOrder:
         parts_of = [row[1] for row in rows]
         del rows
         # Strings before each group: the running string total at its first
-        # row, and at the end.
-        prefix = list(
-            compress(
-                accumulate(strings, initial=a**n - covered), chain((~ties).tolist(), [True])
-            )
+        # row, and at the end, each as big-endian bytes as wide as a**n.
+        width = -(-self.total_strings.bit_length() // 8)
+        prefix = np.fromiter(
+            (
+                total.to_bytes(width, "big")
+                for total in compress(
+                    accumulate(strings, initial=a**n - covered), chain((~ties).tolist(), [True])
+                )
+            ),
+            dtype=np.dtype((np.bytes_, width)),
+            count=len(starts) + 1,
         )
         del strings, ties
 
@@ -633,7 +655,7 @@ class ClassOrder:
         self._starts = np.append(starts, len(parts)).astype(np.min_scalar_type(len(parts)))
         self._prefix = prefix
         # Each row's bytes as one fixed-width string.  Numpy drops trailing
-        # zero bytes when it reads one out, and so does _find.
+        # zero bytes when it reads one out, and so do _find and _prefix_at.
         keys = parts.view(np.dtype((np.bytes_, cols * parts.itemsize)))[:, 0]
         by_key = np.argsort(keys, kind="stable")
         groups = np.repeat(
@@ -645,6 +667,15 @@ class ClassOrder:
     def _uncovered(self) -> int:
         """How many of the strings the order may leave out below its tail."""
         return self.total_strings >> 20
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the order keeps, all it holds that grows with it."""
+        return sum(value.nbytes for name, value in vars(self).items() if name[0] == "_")
+
+    def _prefix_at(self, gi: int) -> int:
+        """Strings before tie group gi in the whole order; all of them past the last."""
+        return int.from_bytes(self._prefix.item(gi).ljust(self._prefix.itemsize, b"\0"), "big")
 
     @property
     def group_products(self) -> list[int]:
@@ -698,10 +729,10 @@ class ClassOrder:
         counts = self._checked(counts)
         gi = self._find(sorted(filter(None, counts), reverse=True))
         if gi is None:
-            if not self._prefix[0]:
+            if not self._prefix_at(0):
                 raise AssertionError(f"{counts} is missing from the order")
             return _whole_order(self.n, self.alphabet_size).strings_before_class(counts)
-        total = self._prefix[gi]
+        total = self._prefix_at(gi)
         for remaining, size, count in self._group_classes(gi):
             total += size * _lex_rank(counts, remaining, count)
         return total
@@ -713,10 +744,13 @@ class ClassOrder:
             raise ValueError(
                 f"rank {index} out of range for {self.alphabet_size}**{self.n} strings"
             )
-        if index < self._prefix[0]:
+        # Numpy compares the entries as if padded with zero bytes, which
+        # orders big-endian bytes of one width as the numbers they hold.
+        key = index.to_bytes(self._prefix.itemsize, "big")
+        gi = int(self._prefix.searchsorted(key, side="right")) - 1
+        if gi < 0:
             return _whole_order(self.n, self.alphabet_size).locate_string(index)
-        gi = bisect_right(self._prefix, index) - 1
-        return self._select_in_group(gi, index - self._prefix[gi])
+        return self._select_in_group(gi, index - self._prefix_at(gi))
 
     def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
         # Per row still consistent with the vector so far: its remaining
@@ -764,7 +798,10 @@ def class_order(n: int, a: int) -> ClassOrder:
     """Shared ClassOrder for (n, a); builds are serialized and idempotent.
 
     The walk's byte budget is charged when the order is built, so a
-    cached order has already passed it.
+    cached order has already passed it.  The cache keeps the orders' nbytes
+    under ORDER_CACHE_BYTE_BUDGET: a build past it evicts the least
+    recently used orders, never the one just built, and an evicted order is
+    built again when next asked for.
     """
     return _cached_order(n, a, whole=False)
 
@@ -790,11 +827,18 @@ def _whole_order(n: int, a: int) -> ClassOrder:
 def _cached_order(n: int, a: int, whole: bool) -> ClassOrder:
     # A float n or a would find the order of its integer in the cache.
     key = (operator.index(n), operator.index(a))
-    order = _ORDER_CACHE.get(key)
-    if order is None or whole and order._prefix[0]:
-        with _ORDER_LOCK:
-            order = _ORDER_CACHE.get(key)
-            if order is None or whole and order._prefix[0]:
-                order = (_WholeOrder if whole else ClassOrder)(*key)
-                _ORDER_CACHE[key] = order
+    with _ORDER_LOCK:
+        order = _ORDER_CACHE.get(key)
+        built = order is None or whole and order._prefix_at(0)
+        if built:
+            order = (_WholeOrder if whole else ClassOrder)(*key)
+        # Last in the cache is most recently used.
+        _ORDER_CACHE.pop(key, None)
+        _ORDER_CACHE[key] = order
+        if built:
+            held = sum(cached.nbytes for cached in _ORDER_CACHE.values())
+            for old in list(_ORDER_CACHE)[:-1]:
+                if held <= ORDER_CACHE_BYTE_BUDGET:
+                    break
+                held -= _ORDER_CACHE.pop(old).nbytes
     return order

@@ -6,8 +6,8 @@ class ShapingError(Exception):
 
 
 class ResourceLimitError(ShapingError):
-    """A computation would exceed the partition walk's byte budget, the
-    series limit or physical memory."""
+    """A computation would exceed the partition walk's byte budget or
+    depth, the series limit or physical memory."""
 
 
 class NotInImageError(ShapingError):

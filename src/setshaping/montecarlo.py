@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -194,6 +193,10 @@ def _sampled_shards(config: McConfig, length: int, consume: Callable) -> list[li
     jobs = list(enumerate(_shard_sizes(config.samples)))
     if config.threads == 1 or len(jobs) == 1:
         return [run(job) for job in jobs]
+    # Imported here: concurrent.futures imports logging, about 7 ms that a
+    # single-threaded run and every other entry point of the package skip.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         return list(pool.map(run, jobs))
 

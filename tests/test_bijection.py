@@ -231,7 +231,7 @@ class TestTailOrders:
                     x = tuple(int(v) for v in rng.integers(0, a, size=100))
                     assert unshape(shape(x, params), params) == x
         assert walks == []
-        assert all(class_order(n, a)._prefix[0] for a in (3, 5) for n in (100, 101))
+        assert all(class_order(n, a)._prefix_at(0) for a in (3, 5) for n in (100, 101))
 
 
 class TestGolden:

@@ -1,5 +1,6 @@
 """Command surface: schemas, exit codes, file transforms, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,8 +11,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from setshaping import cli, montecarlo
+from setshaping.analyzer import SERIES_LIMIT
 from setshaping.cli import main
 from setshaping.errors import (
     BlockLengthError,
@@ -382,9 +385,15 @@ class TestFigure1:
         assert records[2] == {"rank": 2, "i_x_bits": 2.0, "i_y_bits": 2.754888}
 
     def test_series_too_large_for_materialization(self, capsys):
-        code, out, _ = run_cli(capsys, "figure1", "-a", "10", "-n", "10")
-        assert code == 4
-        assert out == ""
+        code, out, err = run_cli(capsys, "figure1", "-a", "10", "-n", "10")
+        assert (code, out) == (4, "")
+        assert err == f"error: 10**10 ranks exceed the series limit of {SERIES_LIMIT}\n"
+
+    def test_series_refusal_names_no_huge_count(self, capsys):
+        # 70000**70000 has far more than the 4,300 digits int to str converts
+        code, out, err = run_cli(capsys, "figure1", "-a", "70000", "-n", "70000")
+        assert (code, out) == (4, "")
+        assert err == f"error: 70000**70000 ranks exceed the series limit of {SERIES_LIMIT}\n"
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "series.csv"
@@ -679,3 +688,120 @@ class TestParser:
         )
         assert result.returncode == 0
         assert result.stdout == "111\n"
+
+
+# Values drawn for every integer flag, and ranks up to 10**40 for unrank.
+HOSTILE_SIZES = ("-1", "0", "1", "257", "70000")
+HOSTILE_RANKS = HOSTILE_SIZES + (str(10**40),)
+# The inputs: an empty one, a non-digit, an out-of-range symbol, and a
+# valid block at n=5 (also five blocks at n=1).
+CONTRACT_INPUTS = {"empty": b"", "letters": b"ab\n", "range": b"9999\n", "block": b"01201"}
+
+
+def _subcommands():
+    """Each subcommand's parser, by name, from the CLI's own parser."""
+    (commands,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return commands.choices
+
+
+def _argument(action, inputs, output):
+    """The strategy of one argument's words, () where an optional is left out."""
+    if action.dest == "in_file":
+        values = st.sampled_from(["-", *inputs])
+    elif action.dest == "string":
+        values = st.sampled_from([text.decode() for text in CONTRACT_INPUTS.values()])
+    elif action.dest == "rank":
+        values = st.sampled_from(HOSTILE_RANKS)
+    elif action.dest == "output":
+        values = st.sampled_from(["-", output])
+    elif action.choices:
+        values = st.sampled_from(list(action.choices))
+    elif action.type is int:
+        # --threads too: a run starts no more threads than it has shards of
+        # 65,536 samples, and no run drawn here samples more than 70,000
+        values = st.sampled_from(HOSTILE_SIZES)
+    else:
+        values = st.none()
+    if not action.option_strings:
+        return values.map(lambda value: (value,))
+    flag = st.sampled_from(action.option_strings)
+    words = flag.map(lambda f: (f,)) if action.nargs == 0 else st.tuples(flag, values)
+    return words if action.required else st.one_of(st.just(()), words)
+
+
+@st.composite
+def _argvs(draw, inputs, output):
+    name, parser = draw(st.sampled_from(sorted(_subcommands().items())))
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    words = [draw(_argument(action, inputs, output)) for action in draw(st.permutations(actions))]
+    return [name, *(word for group in words for word in group)]
+
+
+def _takes_seconds(argv):
+    """Whether argv is one of the runs known to take seconds before they answer.
+
+    A string length (n, or n + k for a shaping command) and an alphabet both
+    of 257 or more make the partition walk run for 9 s to past 20 s before
+    it answers or is refused; a cheap refusal of those is open work.  Monte
+    Carlo tables and codec experiments past 257 samples, their defaults of
+    10**6 and 10**4 included, also run for seconds.
+    """
+    def value(*flags, default=None):
+        for flag in flags:
+            if flag in argv[:-1]:
+                return int(argv[argv.index(flag) + 1])
+        return default
+
+    a = value("-a", "--alphabet", default=3)
+    n = value("-n", "--length", default=10)
+    k = value("--order-k", default=0 if argv[0] == "unrank" else 1)
+    if min(n, k) >= 0 and a >= 257 and n + k >= 257:
+        return True
+    if argv[0] == "table2":
+        return value("-M", "--samples", default=10**6) > 257 and "mc" in argv
+    return argv[0] == "codec-experiment" and value("-M", "--samples", default=10**4) > 257
+
+
+class TestContract:
+    """Every argv the parser admits ends in a documented exit code, in bounded time and memory."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("contract")
+        for name, data in CONTRACT_INPUTS.items():
+            (folder / name).write_bytes(data)
+        return [str(folder / name) for name in CONTRACT_INPUTS], str(folder / "out")
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_every_argv_ends_in_a_documented_exit_code(self, files, data):
+        inputs, output = files
+        argv = data.draw(_argvs(inputs, output))
+        assume(not _takes_seconds(argv))
+        limit = 2**30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "setshaping", *argv],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=cap_address_space,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        )
+        # stdout is read to its end, so exit 1, a closed stdout, never applies
+        assert result.returncode in (0, 2, 3, 4), result.stderr
+        assert "Traceback" not in result.stderr
+        if result.returncode:
+            assert result.stdout == ""

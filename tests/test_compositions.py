@@ -42,9 +42,9 @@ from setshaping.compositions import (
 from setshaping import compositions as compositions_module
 
 
-# Bytes a tail row retains, with its share of the per-group arrays: 110.1
-# at (101, 5) with Python 3.11.7 and numpy 2.4.6.
-PER_ROW_LIMIT = 111
+# Bytes a tail row retains, with its share of the per-group arrays: 71.4
+# at (101, 5) with Python 3.11.7 and numpy 2.4.6, and a margin of 3.6.
+PER_ROW_LIMIT = 75
 
 
 def walk_charge(n, a):
@@ -72,7 +72,12 @@ def counted_walks(monkeypatch):
 
 def complete(order):
     """The order itself if it is complete, else the shared complete order."""
-    return _whole_order(order.n, order.alphabet_size) if order._prefix[0] else order
+    return _whole_order(order.n, order.alphabet_size) if order._prefix_at(0) else order
+
+
+def prefix_sums(order):
+    """Strings before each tie group the order holds, and all of them, as ints."""
+    return [order._prefix_at(gi) for gi in range(len(order._prefix))]
 
 
 def group_of(order, counts):
@@ -88,7 +93,7 @@ def group_infos(n, a):
 
 def group_string_totals(order):
     """Number of strings in each tie group of the complete order."""
-    prefix = complete(order)._prefix
+    prefix = prefix_sums(complete(order))
     return [y - x for x, y in zip(prefix, prefix[1:])]
 
 
@@ -124,7 +129,7 @@ def classes(n, a):
 
 
 def table_of(order):
-    """The arrays and prefix sums an order keeps, by attribute name."""
+    """The arrays an order keeps, by attribute name."""
     return {name: value for name, value in vars(order).items() if name.startswith("_")}
 
 
@@ -136,8 +141,7 @@ def same_table(order, table):
 
 def assert_same_arrays(order, other):
     """The two orders hold equal tables: rows, groups, prefix sums and keys."""
-    assert order._prefix == other._prefix
-    for name in ("_parts", "_starts", "_keys", "_key_groups"):
+    for name in ("_parts", "_starts", "_prefix", "_keys", "_key_groups"):
         got, want = getattr(order, name), getattr(other, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
@@ -220,6 +224,12 @@ class TestCounting:
         monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 10**6)
         with pytest.raises(ResourceLimitError):
             ClassOrder(40, 10)
+
+    def test_walk_past_the_recursion_limit_is_refused(self):
+        # the walk nests a call per part, and its first branch places 2000
+        # parts of 1 before it keeps a row
+        with pytest.raises(ResourceLimitError, match="nest deeper than the walk's recursion"):
+            _partition_rows(2000, 2000)
 
     def test_budget_admits_what_the_composition_count_would_not(self):
         # 3 into 1000 parts has 167,167,000 compositions, but three
@@ -517,6 +527,59 @@ class TestClassOrder:
         monkeypatch.setattr("setshaping.compositions.WALK_BYTE_BUDGET", 0)
         assert class_order(9, 3) is order
 
+    def test_prefix_sums_keep_their_trailing_zero_bytes(self):
+        # 2**16 strings take three bytes, 0x010000: numpy reads the last
+        # entry out as b"\x01" and the first, 0, as b""
+        order = ClassOrder(16, 2)
+        assert order._prefix.dtype == np.dtype("S3")
+        assert order._prefix.item(0) == b"" and order._prefix.item(-1) == b"\x01"
+        totals = [g[2] for g in oracles.group_table(16, 2)]
+        assert prefix_sums(order) == [0, *accumulate(totals)]
+        # the first and last strings of each group are found in it
+        for gi, start in enumerate(prefix_sums(order)[:-1]):
+            for index in (start, start + totals[gi] - 1):
+                assert group_of(order, order.locate_string(index)[0]) == gi
+
+    def test_cache_evicts_the_least_recently_used_past_its_budget(self, monkeypatch):
+        assert compositions_module.ORDER_CACHE_BYTE_BUDGET == 256 * 2**20
+        keys = [(30, 3), (31, 3), (32, 3), (33, 3)]
+        sizes = sorted(ClassOrder(*key).nbytes for key in keys)
+        # every field an order keeps past its sizes is an array it counts
+        order = ClassOrder(*keys[0])
+        assert all(isinstance(value, np.ndarray) for value in table_of(order).values())
+        assert order.nbytes == sum(value.nbytes for value in table_of(order).values())
+        cache = {}
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
+        # room for any two of the orders, never for three
+        budget = sizes[-2] + sizes[-1]
+        assert budget < sum(sizes[:3])
+        monkeypatch.setattr("setshaping.compositions.ORDER_CACHE_BYTE_BUDGET", budget)
+
+        def held():
+            return sum(order.nbytes for order in cache.values())
+
+        first = class_order(*keys[0])
+        class_order(*keys[1])
+        # a hit makes its order the most recently used
+        assert class_order(*keys[0]) is first
+        assert list(cache) == [keys[1], keys[0]]
+        class_order(*keys[2])
+        assert list(cache) == [keys[0], keys[2]] and held() <= budget
+        class_order(*keys[3])
+        assert list(cache) == [keys[2], keys[3]] and held() <= budget
+        # an evicted order is built again, equal to a fresh one
+        again = class_order(*keys[0])
+        assert again is not first and list(cache) == [keys[3], keys[0]]
+        assert_same_arrays(again, ClassOrder(*keys[0]))
+        # a complete order replacing its tail is charged at its own size
+        whole = _whole_order(*keys[0])
+        assert whole.nbytes > again.nbytes and cache[keys[0]] is whole
+        assert list(cache) == [keys[3], keys[0]] and held() <= budget
+        # the order just built stays, even alone past the budget
+        monkeypatch.setattr("setshaping.compositions.ORDER_CACHE_BYTE_BUDGET", 0)
+        order = class_order(*keys[1])
+        assert cache == {keys[1]: order}
+
     @settings(max_examples=60)
     @given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=7), st.data())
     def test_locate_inverts_strings_before(self, a, n, data):
@@ -759,8 +822,8 @@ class TestTail:
     def test_answers_equal_the_complete_order(self, n, a, monkeypatch):
         monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", {})
         whole = _whole_order(n, a)
-        assert whole._prefix[0] == 0
-        base = ClassOrder(n, a)._prefix[0]
+        assert whole._prefix_at(0) == 0
+        base = ClassOrder(n, a)._prefix_at(0)
         assert (base > 0) == (n > 13)
         assert base <= a**n >> 20
         balanced, ends, tail_indices, head_indices = self.probes(n, a, base)
@@ -781,8 +844,8 @@ class TestTail:
             check(order, balanced, tail_indices)
             assert cache == {(n, a): order}
             check(order, vectors, indices)
-            assert same_table(order, table) and order._prefix[0] == base
-            assert list(cache) == [(n, a)] and cache[(n, a)]._prefix[0] == 0
+            assert same_table(order, table) and order._prefix_at(0) == base
+            assert list(cache) == [(n, a)] and cache[(n, a)]._prefix_at(0) == 0
             assert (cache[(n, a)] is order) == (base == 0)
             check(order, balanced + ends, tail_indices + head_indices)
             assert same_table(order, table)
@@ -794,14 +857,14 @@ class TestTail:
     def test_tail_is_a_suffix_of_the_complete_table(self, n, a):
         tail = ClassOrder(n, a)
         full = _WholeOrder(n, a)
-        assert tail._prefix[0] > 0
+        assert tail._prefix_at(0) > 0
         g = len(tail._starts) - 1
         skipped_rows = len(full._parts) - len(tail._parts)
         skipped_groups = len(full._starts) - g - 1
         assert tail._parts.tolist() == full._parts[skipped_rows:].tolist()
         assert [s + skipped_rows for s in tail._starts.tolist()] == full._starts[-g - 1 :].tolist()
         assert tail.group_partitions == full.group_partitions[-g:]
-        assert tail._prefix == full._prefix[-g - 1 :]
+        assert prefix_sums(tail) == prefix_sums(full)[-g - 1 :]
         # the lookup finds every tail partition in the group the full table has
         for gi in range(g):
             for part in tail._partitions(gi):
@@ -814,7 +877,7 @@ class TestTail:
         limits = counted_walks(monkeypatch)
         order = ClassOrder(n, a)
         assert len(limits) == 1 and limits[0] != ()
-        assert 0 < order._prefix[0] <= a**n >> 20
+        assert 0 < order._prefix_at(0) <= a**n >> 20
 
     def test_tail_retains_few_bytes_per_row(self):
         # 10,658 rows; 572 bytes a row when each row held its bigint product,
@@ -839,7 +902,7 @@ class TestTail:
         walks = counted_walks(monkeypatch)
         order = class_order(n, a)
         table = table_of(order)
-        balanced, ends, tail_indices, head_indices = self.probes(n, a, order._prefix[0])
+        balanced, ends, tail_indices, head_indices = self.probes(n, a, order._prefix_at(0))
         vectors, indices = balanced + ends, tail_indices + head_indices
         want = (
             [reference.strings_before_class(v) for v in vectors],
@@ -872,8 +935,52 @@ class TestTail:
         assert results == [want] * 8
         # the tail walk, then one complete order shared by every thread
         assert len(walks) == 2 and walks[0] != () and walks[1] == ()
-        assert same_table(order, table) and order._prefix[0] > 0
-        assert list(cache) == [(n, a)] and cache[(n, a)]._prefix[0] == 0
+        assert same_table(order, table) and order._prefix_at(0) > 0
+        assert list(cache) == [(n, a)] and cache[(n, a)]._prefix_at(0) == 0
+
+    def test_threads_share_a_cache_past_its_budget(self, monkeypatch):
+        # eight threads query four orders, below their cuts too, through a
+        # cache with room for about two: orders are evicted and built again
+        # while other threads hold them, and every answer is a fresh order's
+        keys = [(30, 3), (31, 3), (24, 4), (25, 4)]
+        probes = {key: self.probes(*key, ClassOrder(*key)._prefix_at(0)) for key in keys}
+
+        def answers(order, key):
+            balanced, ends, tail_indices, head_indices = probes[key]
+            return (
+                [order.strings_before_class(v) for v in balanced + ends],
+                [order.locate_string(i) for i in tail_indices + head_indices],
+            )
+
+        want = {key: answers(_WholeOrder(*key), key) for key in keys}
+        cache = {}
+        monkeypatch.setattr("setshaping.compositions._ORDER_CACHE", cache)
+        budget = 2 * max(_WholeOrder(*key).nbytes for key in keys)
+        monkeypatch.setattr("setshaping.compositions.ORDER_CACHE_BYTE_BUDGET", budget)
+        results, errors = [], []
+
+        def worker(shift):
+            try:
+                for _ in range(3):
+                    for key in keys[shift % 4 :] + keys[: shift % 4]:
+                        results.append(answers(class_order(*key), key) == want[key])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert results == [True] * 8 * 3 * 4
+        assert 0 < len(cache) < 4 and sum(order.nbytes for order in cache.values()) <= budget
 
 
 class TestWholeOrderReaders:

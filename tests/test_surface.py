@@ -306,6 +306,16 @@ def test_import_leaves_scipy_special_unloaded():
     assert fresh_interpreter(code) == "[]"
 
 
+def test_import_leaves_thread_pools_unloaded():
+    # concurrent.futures, and the logging it imports, load only when a
+    # Monte Carlo run starts its worker threads
+    code = (
+        "import sys, setshaping\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    assert fresh_interpreter(code) == "[]"
+
+
 def test_shaped_mean_leaves_statistics_unloaded():
     # the normal quantile of a tail's product limit comes from math alone,
     # so a cold shaped mean, or a cold order build, imports no statistics;

@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --pr 21
+    python3 tools/bench_pairs.py --parent HEAD~1 --pr 22 --claim stream-roundtrip.peak_rss_mb
 
 The parent is unpacked with `git archive <rev> | tar -x` into a temporary
 directory; the change is this working tree.  Each of ten pairs runs
@@ -12,6 +12,13 @@ in the speed of a shared host falls on both alike.  Every end-to-end metric that
 summarised by its median and quartiles per tree, the change's median over
 the parent's, and how many pairs each side won.  The result is written to
 BENCH_<pr>.json at the repository root.
+
+With --claim WORKLOAD.METRIC, its "claim" is that metric and whether the
+change met it: won at least nine of the ten pairs (a tie counts for
+neither side), and has a median better than the parent's by more than the
+parent's q3 - q1.  It also lists, under "worse_than_bound", every
+end-to-end metric whose change median is worse than the parent's by more
+than its relative BENCHMARK.json bound.  Both are printed as well.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+CLAIM_WINS = 9
 COMMAND = ["benchmarks/run.py", "--workload", "all", "--seconds", "40"]
 RUN_TIMEOUT_S = 1800
 
@@ -93,16 +101,43 @@ def summarise(name: str, declared: dict, parent: list[dict], change: list[dict])
     }
 
 
+def judge(name: str, metric: dict) -> dict:
+    """The claim that metric name improved, and whether the pairs met it."""
+    workload, _, measure = name.partition(".")
+    sign = 1 if metric["better"] == "lower" else -1
+    gain = sign * (metric["parent"]["median"] - metric["change"]["median"])
+    spread = metric["parent"]["q3"] - metric["parent"]["q1"]
+    met = metric["change_wins"] >= CLAIM_WINS and gain > spread
+    return {"workload": workload, "metric": measure, "met": met}
+
+
+def worse_than_bound(metrics: dict) -> list[str]:
+    """The metrics whose change median is worse than the parent's past their bound."""
+    return [
+        name
+        for name, metric in metrics.items()
+        if (1 if metric["better"] == "lower" else -1) * (metric["change_over_parent"] - 1)
+        > metric["bound"]
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--pr", required=True, help="suffix of the BENCH_<pr>.json written")
+    parser.add_argument(
+        "--claim",
+        metavar="WORKLOAD.METRIC",
+        help="the end-to-end metric the change claims to improve",
+    )
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {
         f"{w['name']}.{m['name']}": m for w in spec["workloads"] for m in spec["end_to_end"]
     }
+    if args.claim is not None and args.claim not in declared:
+        parser.error(f"--claim {args.claim} is no end-to-end metric of BENCHMARK.json")
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees = {"parent": unpack(args.parent, Path(scratch) / "parent"), "change": ROOT}
@@ -133,6 +168,9 @@ def main(argv=None) -> int:
         },
         "claim": None,
     }
+    if args.claim is not None:
+        result["claim"] = judge(args.claim, result["metrics"][args.claim])
+        result["worse_than_bound"] = worse_than_bound(result["metrics"])
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(result, indent=1) + "\n")
     for name, metric in result["metrics"].items():
@@ -143,6 +181,9 @@ def main(argv=None) -> int:
             f"wins {metric['change_wins']}/{metric['pairs']}",
             file=sys.stderr,
         )
+    if args.claim is not None:
+        print(f"claim {args.claim} met: {result['claim']['met']}", file=sys.stderr)
+        print(f"worse than bound: {result['worse_than_bound'] or 'none'}", file=sys.stderr)
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
