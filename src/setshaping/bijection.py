@@ -13,13 +13,12 @@ All rank arithmetic is exact integer work; no floats participate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
-
-import numpy as np
 
 from .compositions import _lex_rank, _lex_select, class_order, multinomial
 from .errors import BlockLengthError, NotInImageError
-from .source import _check_sizes, _index_fields, _nonempty_symbols, validate_symbols
+from .source import _check_sizes, _index_fields, _nonempty_symbols, _symbol_list
 
 
 @dataclass(frozen=True)
@@ -44,33 +43,42 @@ class ShapingParameters:
 
 def string_rank(symbols: Sequence[int], alphabet_size: int) -> int:
     """Exact position of the string in the order over its own length."""
-    return _rank_valid(_nonempty_symbols(symbols, alphabet_size), alphabet_size)
+    return _rank_valid(_nonempty_symbols(_symbol_list(symbols, alphabet_size)), alphabet_size)
 
 
-def _rank_valid(arr: np.ndarray, alphabet_size: int) -> int:
-    """string_rank of a nonempty array that validate_symbols accepted."""
-    order = class_order(int(arr.size), alphabet_size)
-    counts = np.bincount(arr, minlength=alphabet_size).tolist()
-    # Symbols that do not occur change neither the arrangements of the class
-    # nor a string's rank among them.
-    present = {v: c for v, c in enumerate(counts) if c}
-    within = _lex_rank(arr.tolist(), present, multinomial(present.values()))
-    return order.strings_before_class(counts) + within
+def _rank_valid(symbols: list[int], alphabet_size: int) -> int:
+    """string_rank of a nonempty list that _symbol_list accepted.
+
+    Symbols that do not occur change neither the arrangements of the class
+    nor a string's rank among them, so the string is ranked among the
+    arrangements of the symbols it holds, as indices of them.
+    """
+    order = class_order(len(symbols), alphabet_size)
+    counts = [0] * alphabet_size
+    for v in symbols:
+        counts[v] += 1
+    present = list(compress(range(alphabet_size), counts))
+    mults = list(map(counts.__getitem__, present))
+    before = order.strings_before_class(counts)
+    if present[-1] != len(present) - 1:
+        symbols = list(map(dict(zip(present, range(len(present)))).__getitem__, symbols))
+    return before + _lex_rank(symbols, mults, multinomial(mults))
 
 
 def _block_rank(symbols: Sequence[int], params: ShapingParameters, length: int) -> int:
     """Rank of a block that must hold exactly length symbols of the alphabet."""
-    arr = validate_symbols(symbols, params.alphabet_size)
-    if arr.size != length:
-        raise BlockLengthError(f"expected a block of length {length}, got {arr.size}")
-    return _rank_valid(arr, params.alphabet_size)
+    symbols = _symbol_list(symbols, params.alphabet_size)
+    if len(symbols) != length:
+        raise BlockLengthError(f"expected a block of length {length}, got {len(symbols)}")
+    return _rank_valid(symbols, params.alphabet_size)
 
 
 def string_unrank(rank: int, n: int, alphabet_size: int) -> tuple[int, ...]:
     """The rank-th string of length n; inverse of string_rank."""
     counts, offset = class_order(n, alphabet_size).locate_string(rank)
-    present = {v: c for v, c in enumerate(counts) if c}
-    return _lex_select(offset, present, multinomial(present.values()))
+    present = list(compress(range(alphabet_size), counts))
+    mults = list(map(counts.__getitem__, present))
+    return tuple(map(present.__getitem__, _lex_select(offset, mults, multinomial(mults))))
 
 
 def shape(symbols: Sequence[int], params: ShapingParameters) -> tuple[int, ...]:

@@ -432,96 +432,99 @@ def _tie_groups(n: int, a: int) -> Iterator[tuple[float, int, list[tuple[int, ..
         yield content, sum(map(itemgetter(2), group)), list(map(itemgetter(1), group))
 
 
-def _padded_multiset(partition: Sequence[int], a: int) -> dict[int, int]:
-    """Value -> multiplicity of the partition padded with zeros to a parts."""
-    counts = {0: a - len(partition)}
-    for c in partition:
-        counts[c] = counts.get(c, 0) + 1
-    return counts
+def _after_zeros(count: int, slots: int, zeros: int, run: int) -> int:
+    """Arrangements of a multiset that start with a run of its least value.
 
-
-def _after_zeros(count: int, slots: int, nonzero: int, zeros: int) -> int:
-    """Arrangements of a multiset that start with `zeros` zeros.
-
-    Of the count arrangements of slots elements, nonzero of them nonzero,
-    comb(slots, nonzero) choose where the zeros go and each choice carries
-    the same count // comb(slots, nonzero) orders of the nonzero elements.
-    Zero when fewer than `zeros` zeros remain.
+    Of the count arrangements of slots elements, zeros of them the least
+    value, count*perm(zeros, run)//perm(slots, run) start with run of them:
+    a short run takes these products of small ints.  A run longer than the
+    other elements, the zero runs of a count vector over a large alphabet,
+    takes comb(slots, nonzero) for where the other elements go, each choice
+    carrying the same count // comb(slots, nonzero) orders of them.  Zero
+    when fewer than `run` remain.
     """
-    if zeros == 1:
-        return count * (slots - nonzero) // slots
-    return count // math.comb(slots, nonzero) * math.comb(slots - zeros, nonzero)
+    nonzero = slots - zeros
+    if run <= nonzero:
+        return count * math.perm(zeros, run) // math.perm(slots, run)
+    return count // math.comb(slots, nonzero) * math.comb(slots - run, nonzero)
 
 
-def _lex_rank(seq: Sequence[int], remaining: dict[int, int], count: int) -> int:
+def _lex_rank(seq: Sequence[int], mults: list[int], count: int) -> int:
     """Rank of seq among the count distinct arrangements of a multiset, lex ascending.
 
-    remaining maps each value to its multiplicity and is used up in place.
-    Of the count arrangements of a multiset of slots elements, count*m//slots
-    start with a value of multiplicity m, so count*below//slots start below
-    the next value of seq, with below the multiplicities of the smaller
-    values: one exact division per position and no factorials.  Zero sorts
-    first, so a run of zeros in seq puts nothing below it; each run is taken
-    in one step, and the trailing one not at all.  A seq that is no
-    arrangement of the multiset gets the number of arrangements below it.
+    The multiset is a flat list of multiplicities, mults[i] that of its
+    i-th least value, used up in place, and seq holds the indices of its
+    values; a negative entry -r stands for a run of r of index 0, so that a
+    count vector over a large alphabet is ranked in steps of its nonzero
+    parts.  Of the count arrangements of slots elements, count*m//slots
+    start with the value of multiplicity m, so count*below//slots start
+    below the next value of seq, with below the multiplicities of the
+    lesser values: one exact division per position and no factorials.
+    Index 0 sorts first and puts nothing below it, so a run of it is taken
+    in one step at the next other index (see _after_zeros), and the
+    trailing one not at all.  A seq that is no arrangement of the multiset
+    gets the number of arrangements below it.
     """
-    values = sorted(remaining)
-    slots = sum(remaining.values())
+    slots = sum(mults)
     rank = 0
     zeros = 0
-    for value in seq:
-        if not value:
-            zeros += 1
+    for i in seq:
+        if i <= 0:
+            zeros += -i or 1
             continue
         if zeros:
-            if zeros > remaining[0]:
+            m = mults[0]
+            if zeros > m:
                 break
-            count = _after_zeros(count, slots, slots - remaining[0], zeros)
-            remaining[0] -= zeros
+            if zeros == 1:
+                count = count * m // slots
+            else:
+                count = _after_zeros(count, slots, m, zeros)
+            mults[0] = m - zeros
             slots -= zeros
             zeros = 0
-        below = 0
-        for v in values:
-            if v >= value:
-                break
-            below += remaining[v]
-        rank += count * below // slots
-        m = remaining.get(value, 0)
-        if m == 0:
+        below = sum(mults[:i])
+        if below:
+            rank += count * below // slots
+        m = mults[i]
+        if not m:
             break
         count = count * m // slots
-        remaining[value] = m - 1
+        mults[i] = m - 1
         slots -= 1
     return rank
 
 
-def _lex_select(t: int, remaining: dict[int, int], count: int) -> tuple[int, ...]:
+def _lex_select(t: int, mults: list[int], count: int) -> list[int]:
     """The arrangement of rank t among the count of a multiset; inverse of _lex_rank.
 
-    remaining is used up in place.  The arrangements whose next value is at
-    most v number count*M//slots, with M the multiplicities up to v, so the
-    next value is the first whose running multiplicity exceeds t*slots//count:
-    one exact division picks it.
+    mults is the flat multiplicity list of _lex_rank, used up in place, and
+    the arrangement comes back as indices of its values.  The arrangements
+    whose next index is at most i number count*M//slots, with M the
+    multiplicities up to i, so the next index is the first whose running
+    multiplicity exceeds t*slots//count: one exact division picks it.  Once
+    t is 0 the rest is the least arrangement of what remains, its indices
+    in ascending order.
     """
-    values = sorted(remaining)
-    slots = sum(remaining.values())
+    if not 0 <= t < count:
+        raise AssertionError("rank exceeded the arrangements")
+    slots = sum(mults)
     out = []
-    while slots:
+    while t:
         q = t * slots // count
-        below = 0
-        for v in values:
-            m = remaining[v]
-            if below + m > q:
-                break
+        i = below = 0
+        m = mults[0]
+        while below + m <= q:
             below += m
-        else:
-            raise AssertionError("rank exceeded the arrangements")
+            i += 1
+            m = mults[i]
         t -= count * below // slots
         count = count * m // slots
-        remaining[v] = m - 1
-        out.append(v)
+        mults[i] = m - 1
+        out.append(i)
         slots -= 1
-    return tuple(out)
+    out.extend(chain.from_iterable(map(repeat, range(len(mults)), mults)))
+    return out
 
 
 def _lex_vectors(partition: Sequence[int], a: int) -> Iterator[tuple[int, ...]]:
@@ -549,20 +552,17 @@ def _iter_group_classes(
     return heapq.merge(*streams, key=itemgetter(0))
 
 
-def _zero_run(active: list[tuple[dict[int, int], int, int]], slots: int, t: int) -> int:
-    """Length of the run of zeros that the t-th string of active starts with.
+def _zero_run(active: list[tuple[list[int], int]], slots: int, t: int) -> int:
+    """Length of the run of the least value that the t-th string of active starts with.
 
-    active holds (remaining multiset, class size, arrangements) rows that
-    share the vector so far, and t lies among the strings whose next part is
-    zero.  The strings whose next z parts are zero come first and shrink as
-    z grows, so the run is the largest z they still cover t for.
+    active holds (multiplicities, strings) rows that share the vector so
+    far, and t lies among the strings whose next value is the least.  The
+    strings whose next z values are the least come first and shrink as z
+    grows, so the run is the largest z they still cover t for.
     """
 
-    def weight(zeros: int) -> int:
-        return sum(
-            size * _after_zeros(count, slots, slots - rem[0], zeros)
-            for rem, size, count in active
-        )
+    def weight(run: int) -> int:
+        return sum(_after_zeros(strings, slots, mults[0], run) for mults, strings in active)
 
     # Gallop from a run of one, the common case, then bisect.
     lo, hi = 1, 2
@@ -699,22 +699,27 @@ class ClassOrder:
             return self._key_groups.item(i)
         return None
 
-    def _partitions(self, gi: int) -> list[tuple[int, ...]]:
-        """The partitions of tie group gi, ascending, without their zero padding."""
-        rows = self._parts[self._starts.item(gi) : self._starts.item(gi + 1)].tolist()
-        return [tuple(filter(None, row)) for row in rows]
+    def _group_classes(self, gi: int) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+        """The values of a tie group and (multiplicities, class size, class count) per partition.
 
-    def _group_classes(self, gi: int) -> list[tuple[dict[int, int], int, int]]:
-        """(padded multiset, class size, class count) of each partition of a tie group.
-
-        The class size is multinomial(partition) and the class count the
-        number of distinct arrangements of the padded multiset.
+        The values are every part of the group's partitions padded with
+        zeros to a parts, ascending.  A partition's multiplicities count
+        each value in it, its class size is multinomial(partition) and its
+        class count the number of distinct arrangements of that multiset.
         """
-        out = []
-        for part in self._partitions(gi):
-            remaining = _padded_multiset(part, self.alphabet_size)
-            out.append((remaining, multinomial(part), multinomial(remaining.values())))
-        return out
+        rows = self._parts[self._starts.item(gi) : self._starts.item(gi + 1)].tolist()
+        # The rows hold min(n, a) parts, zeros included; a > n pads the rest.
+        pad = self.alphabet_size - len(rows[0])
+        values = set().union(*rows)
+        if pad:
+            values.add(0)
+        values = sorted(values)
+        classes = []
+        for row in rows:
+            mults = list(map(row.count, values))
+            mults[0] += pad
+            classes.append((mults, multinomial(row), multinomial(mults)))
+        return values, classes
 
     def _checked(self, counts: Sequence[int]) -> tuple[int, ...]:
         counts = tuple(counts)
@@ -732,9 +737,19 @@ class ClassOrder:
             if not self._prefix_at(0):
                 raise AssertionError(f"{counts} is missing from the order")
             return _whole_order(self.n, self.alphabet_size).strings_before_class(counts)
+        values, rows = self._group_classes(gi)
+        # The vector as indices of the values, each run of zeros as one
+        # entry and the trailing run left out (see _lex_rank).
+        seq = []
+        done = 0
+        for at in compress(range(len(counts)), counts):
+            if at > done:
+                seq.append(done - at)
+            seq.append(values.index(counts[at]))
+            done = at + 1
         total = self._prefix_at(gi)
-        for remaining, size, count in self._group_classes(gi):
-            total += size * _lex_rank(counts, remaining, count)
+        for mults, size, count in rows:
+            total += size * _lex_rank(seq, mults, count)
         return total
 
     def locate_string(self, index: int) -> tuple[tuple[int, ...], int]:
@@ -753,40 +768,59 @@ class ClassOrder:
         return self._select_in_group(gi, index - self._prefix_at(gi))
 
     def _select_in_group(self, gi: int, t: int) -> tuple[tuple[int, ...], int]:
-        # Per row still consistent with the vector so far: its remaining
-        # multiset, class size, and number of arrangements of the multiset.
-        active = self._group_classes(gi)
+        """The count vector holding the t-th string of tie group gi, and the offset within it.
+
+        The group's classes, merged lex ascending by vector, are selected
+        from as _lex_select selects from one multiset, and a group of one
+        partition is one row: each row still consistent with the vector so
+        far keeps its multiplicities and its strings, class size times
+        arrangements left, and the next value is the first whose strings,
+        summed over the rows, pass t.  A second least value in a row takes
+        the rest of its run at once (_zero_run), and once t is 0 the rest is
+        the least remainder of the rows.
+        """
+        values, rows = self._group_classes(gi)
+        active = [(mults, size * count) for mults, size, count in rows]
+        indices = range(len(values))
         vector: list[int] = []
         slots = self.alphabet_size
-        while slots:
-            for v in sorted({u for rem, _, _ in active for u, m in rem.items() if m}):
-                weight = sum(s * c * rem.get(v, 0) // slots for rem, s, c in active)
-                if t < weight:
+        while t and slots:
+            # t*slots against the strings times slots, so that no row's
+            # division is made before its value is picked.
+            scaled = t * slots
+            for i in indices:
+                weight = 0
+                for mults, strings in active:
+                    weight += strings * mults[i]
+                if scaled < weight:
                     break
-                t -= weight
+                scaled -= weight
             else:
                 raise AssertionError("offset exceeded the tie group")
-            if v == 0 and vector and vector[-1] == 0:
-                # A second zero in a row: take the rest of the run at once.
-                zeros = _zero_run(active, slots, t)
-                survivors = []
-                for rem, size, count in active:
-                    count = _after_zeros(count, slots, slots - rem[0], zeros)
-                    if count:
-                        rem[0] -= zeros
-                        survivors.append((rem, size, count))
-                vector.extend(repeat(0, zeros))
-                slots -= zeros
+            t = scaled // slots
+            survivors = []
+            if not i and vector and vector[-1] == values[0]:
+                run = _zero_run(active, slots, t)
+                for mults, strings in active:
+                    strings = _after_zeros(strings, slots, mults[0], run)
+                    if strings:
+                        mults[0] -= run
+                        survivors.append((mults, strings))
+                vector.extend(repeat(values[0], run))
+                slots -= run
             else:
-                survivors = []
-                for rem, size, count in active:
-                    m = rem.get(v, 0)
+                for mults, strings in active:
+                    m = mults[i]
                     if m:
-                        rem[v] = m - 1
-                        survivors.append((rem, size, count * m // slots))
-                vector.append(v)
+                        mults[i] = m - 1
+                        survivors.append((mults, strings * m // slots))
+                vector.append(values[i])
                 slots -= 1
             active = survivors
+        if slots:
+            vector.extend(
+                min(list(chain.from_iterable(map(repeat, values, mults))) for mults, _ in active)
+            )
         return tuple(vector), t
 
 

@@ -17,7 +17,9 @@ an input class there.  _index_fields is the one integer check of the fields
 of ShapingParameters and McConfig, _check_sizes the one check that an
 alphabet size, block length, length surplus or sample count is positive,
 for every class and function that takes one, and _nonempty_symbols the one
-check that a string is nonempty.
+check that a string is nonempty.  validate_symbols makes every rejection of
+a symbol; _symbol_list, the route of the block calls, takes a list or tuple
+of in-range ints as it is and hands every other string to it.
 """
 
 from __future__ import annotations
@@ -123,12 +125,31 @@ def validate_symbols(symbols: Sequence[int], alphabet_size: int) -> np.ndarray:
     return arr
 
 
-def _nonempty_symbols(symbols: Sequence[int], alphabet_size: int) -> np.ndarray:
-    """validate_symbols of a string that must also be nonempty."""
-    arr = validate_symbols(symbols, alphabet_size)
-    if arr.size == 0:
+_INT = {int}
+
+
+def _symbol_list(symbols: Sequence[int], alphabet_size: int) -> list[int]:
+    """The string as a list of ints, each in [0, alphabet_size).
+
+    A list or tuple of ints that all lie in range is taken as it is, with
+    no numpy round trip: the block calls get their strings this way.  Every
+    other input, a bool, a numpy scalar or array, a float or a symbol out of
+    range among them, goes through validate_symbols, which accepts or
+    rejects it as it would on its own.
+    """
+    if type(symbols) in (list, tuple) and {*map(type, symbols)} == _INT:
+        # The range is checked on the distinct symbols, fewer than the symbols.
+        distinct = set(symbols)
+        if min(distinct) >= 0 and max(distinct) < alphabet_size:
+            return list(symbols)
+    return validate_symbols(symbols, alphabet_size).tolist()
+
+
+def _nonempty_symbols(symbols: Sequence[int]) -> Sequence[int]:
+    """A string that validate_symbols or _symbol_list accepted, if it is nonempty."""
+    if not len(symbols):
         raise ValueError("a string must be nonempty")
-    return arr
+    return symbols
 
 
 def composition_of(symbols: Sequence[int], alphabet_size: int) -> tuple[int, ...]:
@@ -141,7 +162,7 @@ def literal_information_content(
     ensemble: SourceEnsemble, symbols: Sequence[int]
 ) -> float:
     """-sum_j log2 p(s_j); rejects symbols the source cannot emit."""
-    arr = _nonempty_symbols(symbols, ensemble.alphabet_size)
+    arr = _nonempty_symbols(validate_symbols(symbols, ensemble.alphabet_size))
     counts = np.bincount(arr, minlength=ensemble.alphabet_size)
     total = 0.0 - _log_probability(ensemble.probabilities, counts, math.log2)
     if total == math.inf:
@@ -171,7 +192,7 @@ def _log_probability(
 
 def empirical_information_content(symbols: Sequence[int], alphabet_size: int) -> float:
     """n*log2(n) - sum_v c_v*log2(c_v) from the string's own counts."""
-    arr = _nonempty_symbols(symbols, alphabet_size)
+    arr = _nonempty_symbols(validate_symbols(symbols, alphabet_size))
     counts = np.bincount(arr, minlength=alphabet_size)
     n = int(arr.size)
     return n * math.log2(n) - math.fsum(

@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from setshaping import (
     InvalidSymbolError,
+    ShapingParameters,
     SourceEnsemble,
     composition_of,
+    decode,
     empirical_information_content,
+    encode,
     information_content,
+    shape,
+    string_rank,
+    unshape,
     validate_symbols,
 )
 from setshaping.source import _log_probability, literal_information_content
@@ -107,6 +113,85 @@ class TestSymbolValidation:
             validate_symbols([[0, 1]], 2)
         with pytest.raises(InvalidSymbolError, match="must be integers"):
             validate_symbols(["x"], 2)
+
+
+def _outcome(call, *args):
+    """What call(*args) returns, or the type and message of what it raises."""
+    try:
+        return "returned", call(*args)
+    except Exception as exc:  # compared whole below
+        return type(exc), str(exc)
+
+
+_A, _N, _K = 3, 4, 1
+
+
+def _put(symbols, at, symbol):
+    """symbols with the one at `at`, modulo their length, replaced by symbol."""
+    at %= len(symbols)
+    return [*symbols[:at], symbol, *symbols[at + 1 :]]
+
+
+def _symbol_inputs():
+    """Lists and tuples of in-range ints, alone or with bad symbols put in."""
+    good = st.integers(0, _A - 1)
+    bad = st.one_of(
+        st.integers(-3, -1),
+        st.integers(_A, _A + 3),
+        st.just(2**70),
+        st.booleans(),
+        good.map(np.int64),
+        good.map(float),
+        st.sampled_from([0.5, 1.25, 2.75]),
+        st.sampled_from(["0", "x"]),
+        st.lists(good, max_size=2),
+    )
+    # lengths n and n + k reach shape and unshape past their length check
+    lengths = st.sampled_from([0, 1, _N, _N + _K])
+    strings = lengths.flatmap(lambda length: st.lists(good, min_size=length, max_size=length))
+    one_bad = st.builds(_put, strings.filter(bool), st.integers(0, _N + _K), bad)
+    mixed = lengths.flatmap(
+        lambda length: st.lists(st.one_of(good, bad), min_size=length, max_size=length)
+    )
+    lists = st.one_of(strings, one_bad, mixed)
+    return st.one_of(lists, lists.map(tuple))
+
+
+class TestListRoute:
+    """A list or tuple of ints in range skips numpy; every other input is the numpy route's."""
+
+    @given(_symbol_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_block_calls_match_the_numpy_route(self, symbols):
+        params = ShapingParameters(_A, _N, _K)
+        calls = [
+            lambda s: shape(s, params),
+            lambda s: unshape(s, params),
+            lambda s: string_rank(s, _A),
+            lambda s: encode(s, _A),
+        ]
+        try:
+            arr = validate_symbols(symbols, _A)
+        except Exception as exc:
+            refused = (type(exc), str(exc))
+            for call in calls:
+                assert _outcome(call, symbols) == refused
+        else:
+            for call in calls:
+                assert _outcome(call, symbols) == _outcome(call, arr)
+
+    def test_in_range_ints_skip_numpy(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("numpy route taken")
+
+        x = [2, 0, 1, 1]
+        params = ShapingParameters(_A, _N, _K)
+        rank = string_rank(np.array(x), _A)
+        monkeypatch.setattr("setshaping.source.validate_symbols", refuse)
+        for symbols in (x, tuple(x)):
+            assert unshape(shape(symbols, params), params) == tuple(x)
+            assert decode(encode(symbols, _A)) == tuple(x)
+            assert string_rank(symbols, _A) == rank
 
 
 class TestComposition:

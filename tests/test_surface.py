@@ -231,8 +231,8 @@ def test_each_rule_has_one_copy():
 
 def test_each_input_rule_has_one_owner():
     # Each size rule and the nonempty-string rule is raised in one function
-    # for every caller, and the coder's block-size rule is written once,
-    # for encode and for a container's header.
+    # for every caller, the coder's block-size rule is written once, for
+    # encode and for a container's header, and so is each symbol rejection.
     for text in (
         "alphabet must have at least one symbol",
         "block length must be positive",
@@ -248,6 +248,16 @@ def test_each_input_rule_has_one_owner():
         and any(isinstance(name, ast.Name) and name.id == "_MAX_TOTAL" for name in ast.walk(node))
     )
     assert compared == [("codec.py", "_fits_coder")]
+    # Each rejection of a symbol is raised in one function of source.py, on
+    # validate_symbols' route, so the list route of the block calls keeps no
+    # copy of a check.
+    for text, owner in (
+        ("symbols must lie in", "validate_symbols"),
+        ("symbols must be integers", "_as_int_array"),
+        ("symbols must be whole numbers", "_as_int_array"),
+        ("one-dimensional", "_as_int_array"),
+    ):
+        assert sites(raise_saying(text)) == [("source.py", owner)], text
 
 
 def test_partition_walk_places_parts_in_one_loop():

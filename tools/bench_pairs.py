@@ -19,6 +19,14 @@ neither side), and has a median better than the parent's by more than the
 parent's q3 - q1.  It also lists, under "worse_than_bound", every
 end-to-end metric whose change median is worse than the parent's by more
 than its relative BENCHMARK.json bound.  Both are printed as well.
+
+Under "printed" it also summarises, by median and quartiles per tree, the
+figures each run prints but the benchmark does not judge: the raw times
+setup_raw_s, wall_raw_s and reference_raw_s, and the rate symbols_per_s or
+samples_per_s, read from the run's standard output under its `workload
+<name>` header.  The end-to-end times are scaled by each child's reference
+time, which moves with the heap as well as with the host; the raw times
+show whether the job itself moved.  None of them is judged.
 """
 
 from __future__ import annotations
@@ -40,6 +48,14 @@ PAIRS = 10
 CLAIM_WINS = 9
 COMMAND = ["benchmarks/run.py", "--workload", "all", "--seconds", "40"]
 RUN_TIMEOUT_S = 1800
+# Figures a run prints under each workload but does not judge, with their units.
+PRINTED = {
+    "setup_raw_s": "s",
+    "wall_raw_s": "s",
+    "reference_raw_s": "s",
+    "symbols_per_s": "1/s",
+    "samples_per_s": "1/s",
+}
 
 
 def git(*args: str) -> str:
@@ -59,8 +75,22 @@ def unpack(rev: str, into: Path) -> Path:
     return into
 
 
-def run_benchmark(tree: Path) -> dict:
-    """The last stdout line of one benchmark run in tree, as JSON."""
+def printed_figures(stdout: str) -> dict[str, float]:
+    """The PRINTED figures of one run's standard output, by "<workload>.<name>"."""
+    found = {}
+    workload = None
+    for line in stdout.splitlines():
+        if line.startswith("workload "):
+            workload = line.split()[1]
+        elif workload is not None and line.startswith("  "):
+            fields = line.split()
+            if fields[0] in PRINTED:
+                found[f"{workload}.{fields[0]}"] = float(fields[1])
+    return found
+
+
+def run_benchmark(tree: Path) -> tuple[dict, dict[str, float]]:
+    """The last stdout line of one benchmark run in tree, as JSON, and its printed figures."""
     proc = subprocess.run(
         [sys.executable, *COMMAND],
         cwd=tree,
@@ -70,7 +100,7 @@ def run_benchmark(tree: Path) -> dict:
     )
     if proc.returncode or not proc.stdout.strip():
         raise SystemExit(f"benchmark in {tree} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), printed_figures(proc.stdout)
 
 
 def quartiles(values: list[float]) -> dict:
@@ -96,6 +126,21 @@ def summarise(name: str, declared: dict, parent: list[dict], change: list[dict])
         "change_wins": change_wins,
         "parent_wins": parent_wins,
         "pairs": len(parent_runs),
+        "parent_runs": parent_runs,
+        "change_runs": change_runs,
+    }
+
+
+def summarise_printed(name: str, parent: list[dict], change: list[dict]) -> dict:
+    """One printed figure over the pairs: quartiles per tree and ratio of medians, unjudged."""
+    parent_runs = [run[name] for run in parent]
+    change_runs = [run[name] for run in change]
+    parent_q, change_q = quartiles(parent_runs), quartiles(change_runs)
+    return {
+        "unit": PRINTED[name.partition(".")[2]],
+        "parent": parent_q,
+        "change": change_q,
+        "change_over_parent": change_q["median"] / parent_q["median"],
         "parent_runs": parent_runs,
         "change_runs": change_runs,
     }
@@ -139,13 +184,16 @@ def main(argv=None) -> int:
     if args.claim is not None and args.claim not in declared:
         parser.error(f"--claim {args.claim} is no end-to-end metric of BENCHMARK.json")
     runs = {"parent": [], "change": []}
+    printed = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         trees = {"parent": unpack(args.parent, Path(scratch) / "parent"), "change": ROOT}
         for pair in range(1, PAIRS + 1):
             sides = ("parent", "change") if pair % 2 else ("change", "parent")
             for side in sides:
                 print(f"pair {pair}/{PAIRS}: {side}", file=sys.stderr, flush=True)
-                runs[side].append(run_benchmark(trees[side]))
+                result, figures = run_benchmark(trees[side])
+                runs[side].append(result)
+                printed[side].append(figures)
 
     result = {
         "command": " ".join(["python3", *COMMAND]),
@@ -166,6 +214,10 @@ def main(argv=None) -> int:
             name: summarise(name, declared[name], runs["parent"], runs["change"])
             for name in sorted(declared)
         },
+        "printed": {
+            name: summarise_printed(name, printed["parent"], printed["change"])
+            for name in sorted(set.intersection(*map(set, printed["parent"] + printed["change"])))
+        },
         "claim": None,
     }
     if args.claim is not None:
@@ -179,6 +231,13 @@ def main(argv=None) -> int:
             f"change {metric['change']['median']:<12.6g} "
             f"ratio {metric['change_over_parent']:.4f} "
             f"wins {metric['change_wins']}/{metric['pairs']}",
+            file=sys.stderr,
+        )
+    for name, figure in result["printed"].items():
+        print(
+            f"{name:<32} parent {figure['parent']['median']:<12.6g} "
+            f"change {figure['change']['median']:<12.6g} "
+            f"ratio {figure['change_over_parent']:.4f} (printed, not judged)",
             file=sys.stderr,
         )
     if args.claim is not None:
